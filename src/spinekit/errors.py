@@ -35,7 +35,7 @@ class ThresholdFailureError(SpineKitError):
 
 
 class MappingError(SpineKitError):
-    """Grey-level mapping has an empty candidate voxel set."""
+    """A vertex is not a voxel centroid of its label, or has no candidate voxel."""
 
 
 class RoiTooSmallError(SpineKitError):

@@ -157,21 +157,22 @@ class Thresholds:
                 "non-degraded thresholds must be strictly increasing")
 
 
-def _refine_roots(func, xs: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Roots of func between consecutive sign changes of `values` on `xs`."""
+def _refine_roots(func, xs: np.ndarray,
+                  values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Roots of func between consecutive sign changes of `values` on `xs`,
+    and the sign of `values` at each root's left bracket."""
     sign = np.sign(values)
     flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = []
-    for i in flips:
-        roots.append(brentq(func, xs[i], xs[i + 1], xtol=1e-12 * (xs[-1] + 1.0)))
-    return np.asarray(roots)
+    roots = [brentq(func, xs[i], xs[i + 1], xtol=1e-12 * (xs[-1] + 1.0))
+             for i in flips]
+    return np.asarray(roots), sign[flips]
 
 
 def density_modes(curve: DensityCurve) -> np.ndarray:
     """Locations of interior local maxima of the density, ascending."""
     fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
     d1 = curve.derivative(fine)
-    roots = _refine_roots(lambda x: float(curve.derivative(x)[0]), fine, d1)
+    roots, _ = _refine_roots(lambda x: float(curve.derivative(x)[0]), fine, d1)
     if roots.size == 0:
         return roots
     is_max = curve.second_derivative(roots) < 0
@@ -190,15 +191,9 @@ def density_inflections(curve: DensityCurve) -> tuple[np.ndarray, np.ndarray]:
     """
     fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
     d2 = curve.second_derivative(fine)
-    sign = np.sign(d2)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    xs, descending = [], []
-    for i in flips:
-        x = brentq(lambda x: float(curve.second_derivative(x)[0]),
-                   fine[i], fine[i + 1], xtol=1e-12 * (fine[-1] + 1.0))
-        xs.append(x)
-        descending.append(sign[i] < 0)
-    return np.asarray(xs), np.asarray(descending, dtype=bool)
+    xs, left_sign = _refine_roots(
+        lambda x: float(curve.second_derivative(x)[0]), fine, d2)
+    return xs, left_sign < 0
 
 
 def _descending_after(x0: float, infl: np.ndarray, desc: np.ndarray) -> float | None:

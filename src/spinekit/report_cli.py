@@ -86,6 +86,9 @@ class PipelineConfig:
             raise SpineKitError(f"unknown mapping criteria: {bad}")
         if self.alpha is not None and self.alpha != AUTO and float(self.alpha) <= 0:
             raise SpineKitError(f"alpha must be positive or 'auto', got {self.alpha}")
+        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
+            raise SpineKitError(
+                f"grid_points must be an integer of at least 2, got {self.grid_points!r}")
 
     def semantic(self) -> dict:
         """Config content that determines the outputs (paths excluded)."""

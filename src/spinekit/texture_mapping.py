@@ -2,9 +2,12 @@
 
 Every vertex receives the HU value of its nearest voxel centroid among a
 criterion-dependent candidate set: voxels of the vertebra's own label
-(internal), all voxels (euclidean), or all other voxels (external).  The
-volume's own segmentation acts as the inside/outside oracle.  Searches are
-exact; ties go to the lowest linear voxel index.
+(internal), all voxels (euclidean), or all voxels of another label
+(external).  Vertices must be voxel centroids of their own label, as
+`build_alpha_shape` makes them, so internal and euclidean read the vertex's
+own voxel.  External scans voxel offsets d by squared distance
+sum((d*spacing)**2); searches are exact and ties go to the lowest linear
+voxel index.
 """
 
 from __future__ import annotations
@@ -16,7 +19,6 @@ import numpy as np
 
 from .errors import MappingError
 from .region_segmentation import Region, RegionLabeling, Thresholds
-from .spatial import nearest_canonical
 from .volume_io import LabeledVolume
 
 
@@ -44,78 +46,72 @@ class VertexTexture:
     source_voxel: np.ndarray      # (V, 3) int voxel indices
 
 
-def _candidate_mask(volume: LabeledVolume, label: int,
-                    criterion: MappingCriterion) -> np.ndarray:
-    if criterion is MappingCriterion.INTERNAL:
-        return volume.labels == label
-    if criterion is MappingCriterion.EXTERNAL:
-        return volume.labels != label
-    return np.ones(volume.dims, dtype=bool)
+_CELL_BUDGET = 500_000  # vertex x offset cells per chunk, bounds peak memory
 
 
-def _crop_ranges(volume: LabeledVolume, lo_mm, hi_mm):
-    spacing = np.asarray(volume.spacing)
-    lo = np.maximum(np.floor(lo_mm / spacing - 0.5).astype(int), 0)
-    hi = np.minimum(np.ceil(hi_mm / spacing - 0.5).astype(int) + 1,
-                    np.asarray(volume.dims))
-    return lo, hi
+def _shell_offsets(spacing: np.ndarray, r_lo: float, r_hi: float) -> np.ndarray:
+    """Offsets d with r_lo**2 <= sum((d*spacing)**2) < r_hi**2, sorted by that
+    distance, then dz, dy, dx: for in-bounds voxels, the linear-index order."""
+    # one voxel of slack keeps every offset outside the cube beyond r_hi
+    reach = np.floor(r_hi / spacing).astype(int) + 1
+    d = np.stack(np.meshgrid(*[np.arange(-n, n + 1) for n in reach],
+                             indexing="ij"), axis=-1).reshape(-1, 3)
+    d2 = ((d * spacing) ** 2).sum(axis=1)
+    keep = (d2 >= r_lo * r_lo) & (d2 < r_hi * r_hi)
+    d, d2 = d[keep], d2[keep]
+    return d[np.lexsort((d[:, 0], d[:, 1], d[:, 2], d2))]
+
+
+def _external_sources(volume: LabeledVolume, label: int,
+                      own: np.ndarray) -> np.ndarray:
+    """Nearest voxel of another label to each voxel of `own`, scanning the
+    ball inside the 3x3x3 cube, then shells of doubling radius."""
+    spacing, dims = np.asarray(volume.spacing), np.asarray(volume.dims)
+    src = np.empty_like(own)
+    todo = np.arange(len(own))
+    r_lo, r_hi = 0.0, 2.0 * float(spacing.min())
+    while todo.size:
+        offsets = _shell_offsets(spacing, r_lo, r_hi)
+        chunk = max(1, _CELL_BUDGET // len(offsets))
+        left = []
+        for start in range(0, len(todo), chunk):
+            rows = todo[start:start + chunk]
+            cand = own[rows, None, :] + offsets[None, :, :]      # (C, K, 3)
+            c = np.clip(cand, 0, dims - 1)
+            hit = np.all(cand == c, axis=2) & (
+                volume.labels[c[..., 0], c[..., 1], c[..., 2]] != label)
+            first = hit.argmax(axis=1)
+            found = hit[np.arange(len(rows)), first]
+            src[rows[found]] = cand[found, first[found]]
+            left.append(rows[~found])
+        todo = np.concatenate(left)
+        # the vertices carry the label, so a single-valued field is all label
+        if todo.size and r_lo == 0.0 and volume.labels.min() == volume.labels.max():
+            raise MappingError(f"no voxel outside label {label} for external")
+        r_lo, r_hi = r_hi, 2.0 * r_hi
+    return src
 
 
 def map_grey(mesh, volume: LabeledVolume, label: int,
              criterion) -> VertexTexture:
     """Map HU values onto mesh vertices under one criterion.
 
-    The search runs on a crop around the mesh for speed; the crop is grown
-    until every found neighbor is provably the global one, so results equal
-    a full-volume scan exactly.
+    Raises MappingError when a vertex is not a voxel centroid of `label`, or
+    under external when no voxel of another label exists.
     """
     criterion = MappingCriterion.parse(criterion)
-    verts = np.asarray(mesh.vertices, dtype=float)
-    spacing = np.asarray(volume.spacing)
-    dims = np.asarray(volume.dims)
-    nx, ny = volume.dims[0], volume.dims[1]
-
-    mask = _candidate_mask(volume, label, criterion)
-    if not mask.any():
+    verts = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
+    near = np.rint(verts / np.asarray(volume.spacing) - 0.5)
+    ok = np.all((near >= 0) & (near < np.asarray(volume.dims)), axis=1)
+    src = np.where(ok[:, None], near, 0).astype(np.int64)
+    ok &= np.all(volume.voxel_centroids_mm(src) == verts, axis=1)
+    ok &= volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label
+    if not ok.all():
         raise MappingError(
-            f"empty candidate voxel set for label {label} under {criterion.value}")
-
-    margin = 2.0 * volume.voxel_diagonal
-    vol_lo_mm = np.zeros(3)
-    vol_hi_mm = volume.extent_mm
-    while True:
-        lo, hi = _crop_ranges(volume, verts.min(axis=0) - margin,
-                              verts.max(axis=0) + margin)
-        sub = mask[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
-        ijk = np.argwhere(sub) + lo
-        if len(ijk) == 0:
-            if np.all(lo == 0) and np.all(hi == dims):
-                raise MappingError(
-                    f"empty candidate voxel set for label {label} under "
-                    f"{criterion.value}")
-            margin *= 2.0
-            continue
-        # sort candidates by linear index so NN ties break on it
-        lin = ijk[:, 0] + nx * (ijk[:, 1] + ny * ijk[:, 2])
-        order = np.argsort(lin, kind="stable")
-        ijk = ijk[order]
-        coords = volume.voxel_centroids_mm(ijk)
-        idx, dist = nearest_canonical(coords, verts)
-        # a result is provably global when it beats the distance to every
-        # crop wall that is not already a volume wall
-        crop_lo_mm = lo * spacing
-        crop_hi_mm = hi * spacing
-        wall = np.full(len(verts), np.inf)
-        for axis in range(3):
-            if crop_lo_mm[axis] > vol_lo_mm[axis] + 1e-12:
-                wall = np.minimum(wall, verts[:, axis] - crop_lo_mm[axis])
-            if crop_hi_mm[axis] < vol_hi_mm[axis] - 1e-12:
-                wall = np.minimum(wall, crop_hi_mm[axis] - verts[:, axis])
-        if np.all(dist <= wall):
-            break
-        margin *= 2.0
-
-    src = ijk[idx]
+            f"{int((~ok).sum())} mesh vertices are not voxel centroids of label "
+            f"{label}, e.g. {verts[np.argmin(ok)].tolist()}")
+    if criterion is MappingCriterion.EXTERNAL:
+        src = _external_sources(volume, label, src)
     hu = volume.hu[src[:, 0], src[:, 1], src[:, 2]].astype(np.int64)
     return VertexTexture(hu=hu, criterion=criterion, source_voxel=src)
 

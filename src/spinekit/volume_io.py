@@ -70,6 +70,7 @@ class LabeledVolume:
     labels: np.ndarray            # (nx, ny, nz) uint16
     centroids: dict[int, CentroidAnnotation] = field(default_factory=dict)
     orphan_centroids: list[int] = field(default_factory=list)
+    _present: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -97,9 +98,10 @@ class LabeledVolume:
         return np.asarray(self.dims, dtype=float) * np.asarray(self.spacing)
 
     def present_labels(self) -> list[int]:
-        """Nonzero labels with at least one voxel, ascending."""
-        vals = np.unique(self.labels)
-        return [int(v) for v in vals if v != 0]
+        """Nonzero labels with at least one voxel, ascending (computed once)."""
+        if self._present is None:
+            self._present = [int(v) for v in np.unique(self.labels) if v != 0]
+        return list(self._present)
 
     def missing_centroids(self) -> list[int]:
         """Present labels that lack a centroid annotation."""
@@ -172,30 +174,32 @@ def load_volume(descriptor_path) -> LabeledVolume:
     labels = _read_raw(base / label_file, LABEL_DTYPE, dims).astype(np.uint16)
 
     centroids: dict[int, CentroidAnnotation] = {}
-    orphans: list[int] = []
     if centroid_file is not None:
         try:
             entries = json.loads((base / centroid_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DescriptorError(f"cannot parse centroid file: {exc}") from exc
-        present = set(np.unique(labels).tolist())
         for entry in entries:
             try:
                 lab = int(entry["label"])
-                vox = entry["voxel"]
-            except (KeyError, TypeError) as exc:
+                vox = [float(v) for v in entry["voxel"]]
+            except (KeyError, TypeError, ValueError) as exc:
                 raise DescriptorError(f"malformed centroid entry {entry}") from exc
             if not (1 <= lab <= 28):
                 raise DescriptorError(f"centroid label {lab} outside 1..28")
-            if not all(0.0 <= v < d for v, d in zip(vox, dims)):
-                raise DescriptorError(
-                    f"centroid for label {lab} at {vox} outside volume {dims}")
+            if lab in centroids:
+                raise DescriptorError(f"duplicate centroid for label {lab}")
+            # NaN fails the bounds test, so this also demands finite values
+            if len(vox) != 3 or not all(0.0 <= v < d for v, d in zip(vox, dims)):
+                raise DescriptorError(f"centroid for label {lab} at {vox} is not "
+                                      f"3 coordinates inside volume {dims}")
             centroids[lab] = CentroidAnnotation.from_voxel(lab, vox, spacing)
-            if lab not in present:
-                orphans.append(lab)
 
-    return LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
-                         centroids=centroids, orphan_centroids=sorted(orphans))
+    volume = LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
+                           centroids=centroids)
+    if centroids:
+        volume.orphan_centroids = sorted(set(centroids) - set(volume.present_labels()))
+    return volume
 
 
 def write_volume(volume: LabeledVolume, out_dir, stem: str = "volume") -> Path:

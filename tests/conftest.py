@@ -21,6 +21,34 @@ def brute_force_nearest(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
+def lattice_source_oracle(volume: sk.LabeledVolume, label: int, vertices,
+                          criterion: str) -> np.ndarray:
+    """Brute-force source voxel of each vertex under one mapping criterion.
+
+    Squared distance is sum((d*s)**2) from the integer offset d between the
+    vertex's voxel and a candidate voxel; ties go to the lowest linear index.
+    Voxels outside the label's bounding box grown by one voxel are skipped:
+    clamping one into that box gives a candidate strictly nearer the vertex.
+    """
+    s = np.asarray(volume.spacing)
+    own = np.floor(np.asarray(vertices) / s).astype(np.int64)
+    box = np.argwhere(volume.labels == label)
+    lo = np.maximum(box.min(axis=0) - 1, 0)
+    hi = np.minimum(box.max(axis=0) + 2, volume.dims)
+    sub = volume.labels[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]]
+    keep = {"internal": sub == label, "external": sub != label,
+            "euclidean": np.ones(sub.shape, dtype=bool)}[criterion]
+    # rows of a (z, y, x) argwhere ascend in linear index i + nx*(j + ny*k)
+    cand = np.argwhere(keep.transpose(2, 1, 0))[:, ::-1] + lo
+    out = np.empty_like(own)
+    chunk = max(1, 200_000 // len(cand))  # small blocks stay in cache
+    for start in range(0, len(own), chunk):
+        d = cand[None, :, :] - own[start:start + chunk, None, :]
+        d2 = ((d * s) ** 2).sum(axis=-1)
+        out[start:start + chunk] = cand[np.argmin(d2, axis=1)]  # first min
+    return out
+
+
 def boundary_voxel_centroids(volume: sk.LabeledVolume, label: int) -> np.ndarray:
     """Centroids of labeled voxels with an unlabeled 6-neighbor (mesh-vertex
     oracle that never touches the reconstruction code)."""

@@ -1,8 +1,10 @@
 """Pipeline orchestration, report emission and CLI behavior."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -300,6 +302,30 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("grid_points", ["0", "1"])
+def test_cli_rejects_grid_points_below_two(tmp_path, capsys, sphere_volume,
+                                           grid_points):
+    desc = sk.write_volume(sphere_volume, tmp_path / "in")
+    assert main(["run", "--input", str(desc), "--out", str(tmp_path / "out"),
+                 "--grid-points", grid_points]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: grid_points must be an integer of at least 2")
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_non_integer_grid_points(tmp_path):
+    for bad in (2.5, True, "512"):
+        with pytest.raises(sk.SpineKitError, match="grid_points"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, grid_points=bad)
+
+
+def _env_importing_this_spinekit() -> dict:
+    """Environment whose PYTHONPATH leads a child to the spinekit under test."""
+    paths = [str(Path(sk.__file__).resolve().parents[1]),
+             os.environ.get("PYTHONPATH", "")]
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+
+
 def test_cli_module_invocation(tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"kind": "sphere", "radius_mm": 2.0,
@@ -307,7 +333,7 @@ def test_cli_module_invocation(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "spinekit.report_cli", "phantom",
          "--spec", str(spec_path), "--out", str(tmp_path / "v")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_env_importing_this_spinekit())
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "v" / "volume.json").exists()
 

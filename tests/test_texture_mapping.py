@@ -1,13 +1,17 @@
-"""HU mapping criteria against brute-force scans on the sphere phantom."""
+"""HU mapping criteria against brute-force scans on the phantoms."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinekit as sk
 from spinekit.errors import MappingError
 from spinekit.texture_mapping import MappingCriterion
 
-from conftest import brute_force_nearest
+from conftest import brute_force_nearest, lattice_source_oracle
+
+CRITERIA = ("internal", "euclidean", "external")
+SPACINGS = ((1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.5, 1.0, 2.0))
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +100,104 @@ def test_external_empty_when_everything_labeled(sphere_mesh):
                            triangles=np.zeros((0, 3), dtype=int))
     with pytest.raises(MappingError):
         sk.map_grey(tiny, vol, 3, "external")
+
+
+@pytest.fixture(scope="module")
+def anisotropic_sphere():
+    volume = sk.make_sphere_phantom(10.0, (0.8, 0.8, 1.25), 100, 0, 1)
+    points = sk.extract_label_points(volume, 1)
+    return volume, sk.build_alpha_shape(points, alpha=points.voxel_diagonal,
+                                        source_label=1)
+
+
+@pytest.fixture(scope="module")
+def phantom_meshes(sphere_volume, sphere_mesh, compound, compound_mesh,
+                   anisotropic_sphere):
+    return {"sphere": (sphere_volume, sphere_mesh),
+            "compound": (compound[0], compound_mesh),
+            "anisotropic_sphere": anisotropic_sphere}
+
+
+@pytest.mark.parametrize("criterion", CRITERIA)
+@pytest.mark.parametrize("phantom", ("sphere", "compound", "anisotropic_sphere"))
+def test_source_voxels_match_lattice_oracle(phantom_meshes, phantom, criterion):
+    volume, mesh = phantom_meshes[phantom]
+    tex = sk.map_grey(mesh, volume, 1, criterion)
+    oracle = lattice_source_oracle(volume, 1, mesh.vertices, criterion)
+    np.testing.assert_array_equal(tex.source_voxel, oracle)
+    np.testing.assert_array_equal(tex.hu, volume.hu[tuple(oracle.T)])
+
+
+def _voxel_mesh(volume, label):
+    """Vertex-only mesh on every voxel centroid of `label`."""
+    ijk = np.argwhere(volume.labels == label)
+    return sk.TriangleMesh(vertices=volume.voxel_centroids_mm(ijk),
+                           triangles=np.zeros((0, 3), dtype=int))
+
+
+def _volume(labels, spacing=(1.0, 1.0, 1.0)):
+    labels = np.asarray(labels, dtype=np.uint16)
+    hu = np.arange(labels.size, dtype=np.int16).reshape(labels.shape)
+    return sk.LabeledVolume(dims=labels.shape, spacing=spacing, hu=hu,
+                            labels=labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.tuples(*[st.integers(1, 6)] * 3),
+       spacing=st.sampled_from(SPACINGS),
+       fill=st.floats(0.3, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_mapping_matches_lattice_oracle_on_random_fields(shape, spacing, fill, seed):
+    rng = np.random.default_rng(seed)
+    labels = np.where(rng.random(shape) < fill, 1, rng.integers(0, 3, shape))
+    labels.flat[rng.integers(labels.size)] = 1
+    volume = _volume(labels, spacing)
+    mesh = _voxel_mesh(volume, 1)
+    for criterion in CRITERIA:
+        if criterion == "external" and np.all(labels == 1):
+            with pytest.raises(MappingError):
+                sk.map_grey(mesh, volume, 1, criterion)
+            continue
+        tex = sk.map_grey(mesh, volume, 1, criterion)
+        np.testing.assert_array_equal(
+            tex.source_voxel, lattice_source_oracle(volume, 1, mesh.vertices, criterion))
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_external_stencil_grows_to_a_distant_voxel(spacing):
+    labels = np.ones((15, 15, 15), dtype=np.uint16)
+    labels[12, 3, 9] = 0
+    volume = _volume(labels, spacing)
+    own = [[0, 0, 0], [14, 14, 14], [0, 14, 0], [7, 7, 7], [12, 3, 8], [11, 4, 9]]
+    mesh = sk.TriangleMesh(vertices=volume.voxel_centroids_mm(own),
+                           triangles=np.zeros((0, 3), dtype=int))
+    tex = sk.map_grey(mesh, volume, 1, "external")
+    assert np.all(tex.source_voxel == [12, 3, 9])
+    np.testing.assert_array_equal(
+        tex.source_voxel, lattice_source_oracle(volume, 1, mesh.vertices, "external"))
+
+
+def test_external_fails_cleanly_when_label_fills_volume():
+    volume = _volume(np.full((4, 4, 4), 3))
+    with pytest.raises(MappingError, match="no voxel outside label 3"):
+        sk.map_grey(_voxel_mesh(volume, 3), volume, 3, "external")
+
+
+@pytest.mark.parametrize("vertex", (
+    [1.0, 1.5, 1.5],        # off the voxel-centroid lattice
+    [1.5, 1.5, 1.5 + 1e-9],  # off the lattice by less than rounding to a voxel
+    [4.5, 1.5, 1.5],        # a centroid outside the volume
+    [0.5, 0.5, 0.5],        # a voxel centroid of another label
+    [np.nan, 1.5, 1.5]))
+def test_vertex_off_own_voxel_centroids_mapping_error(vertex):
+    labels = np.ones((4, 4, 4), dtype=np.uint16)
+    labels[0, 0, 0] = 2
+    volume = _volume(labels)
+    mesh = sk.TriangleMesh(vertices=np.array([[2.5, 2.5, 2.5], vertex]),
+                           triangles=np.zeros((0, 3), dtype=int))
+    for criterion in CRITERIA:
+        with pytest.raises(MappingError, match="not voxel centroids of label 1"):
+            sk.map_grey(mesh, volume, 1, criterion)
 
 
 def test_criterion_parsing():

@@ -135,7 +135,31 @@ def test_centroid_annotation_validation(tmp_path):
     desc = sk.write_volume(vol, desc_dir)
     for bad in ([{"label": 2, "voxel": [9.0, 1.0, 1.0]}],   # outside the volume
                 [{"label": 40, "voxel": [1.0, 1.0, 1.0]}],  # outside 1..28
-                [{"voxel": [1.0, 1.0, 1.0]}]):              # malformed entry
+                [{"voxel": [1.0, 1.0, 1.0]}],               # malformed entry
+                [{"label": 2, "voxel": [1.0, 1.0]}],        # 2 coordinates
+                [{"label": 2, "voxel": [1.0, float("nan"), 1.0]}],
+                [{"label": 2, "voxel": [1.0, 1.0, float("inf")]}],
+                [{"label": 2, "voxel": "abc"}],
+                [{"label": 2, "voxel": [1.5, 1.5, 1.5]},    # duplicate label
+                 {"label": 2, "voxel": [2.5, 2.5, 2.5]}]):
         (desc_dir / "volume_centroids.json").write_text(json.dumps(bad))
         with pytest.raises(DescriptorError):
             sk.load_volume(desc)
+
+
+def test_one_label_scan_per_volume(tmp_path, monkeypatch):
+    vol = _blank_volume(dims=(4, 4, 4))
+    vol.labels[1, 1, 1] = 2
+    desc = sk.write_volume(vol, tmp_path / "v")
+    (tmp_path / "v" / "volume_centroids.json").write_text(json.dumps(
+        [{"label": 2, "voxel": [1.5, 1.5, 1.5]}, {"label": 5, "voxel": [2.5, 2.5, 2.5]}]))
+    calls = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    loaded = sk.load_volume(desc)
+    assert loaded.orphan_centroids == [5]
+    assert loaded.present_labels() == [2]
+    loaded.present_labels().append(7)   # callers get a copy
+    assert loaded.present_labels() == [2]
+    assert len(calls) == 1
