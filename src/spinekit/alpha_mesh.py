@@ -3,10 +3,13 @@
 The alpha complex is computed from the Delaunay tetrahedralization of the
 point cloud: a tetrahedron belongs to the complex iff its circumradius is at
 most alpha, and the surface is the set of triangular faces incident to
-exactly one kept tetrahedron.  Grid-sampled clouds are full of cospherical
-and coplanar degeneracies, so the combinatorial side (triangulation,
-circumradii, face orientation) runs on a deterministically micro-jittered
-copy of the points while all emitted geometry uses the original coordinates.
+exactly one kept tetrahedron.  A face has at most two tetrahedra and the
+Delaunay adjacency names the second, so the boundary is read off it: a kept
+tetrahedron's face is on the surface iff the neighbor across it is missing
+or not kept.  Grid-sampled clouds are full of cospherical and coplanar
+degeneracies, so the combinatorial side (triangulation, circumradii, face
+orientation) runs on a deterministically micro-jittered copy of the points
+while all emitted geometry uses the original coordinates.
 Exactly-degenerate tetrahedra then behave as infinitely-thin cells: their
 jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
@@ -50,16 +53,15 @@ class TriangleMesh:
 
     def edge_use_counts(self) -> np.ndarray:
         """Usage count per undirected edge (closed manifolds are all 2)."""
-        _, counts = _undirected_edges(self.triangles)
-        return counts
+        return _edge_use_counts(self.triangles)
 
     def is_closed(self) -> bool:
         counts = self.edge_use_counts()
         return len(counts) > 0 and bool(np.all(counts == 2))
 
     def euler_characteristic(self) -> int:
-        edges, _ = _undirected_edges(self.triangles)
-        return int(len(self.vertices) - len(edges) + len(self.triangles))
+        return int(len(self.vertices) - len(self.edge_use_counts())
+                   + len(self.triangles))
 
 
 @dataclass(frozen=True)
@@ -68,13 +70,17 @@ class MeshMetrics:
     volume: float    # mm^3
 
 
-def _undirected_edges(triangles: np.ndarray):
-    edges = np.concatenate([triangles[:, [0, 1]],
-                            triangles[:, [1, 2]],
-                            triangles[:, [2, 0]]])
-    key = np.sort(edges, axis=1)
-    uniq, counts = np.unique(key, axis=0, return_counts=True)
-    return uniq, counts
+def _edge_keys(triangles: np.ndarray) -> np.ndarray:
+    """One int64 key lo * n + hi per triangle side, sides 01, 12, 20 stacked."""
+    tris = np.asarray(triangles, dtype=np.int64)
+    edges = np.sort(np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]],
+                                    tris[:, [2, 0]]]), axis=1)
+    n = int(tris.max()) + 1 if tris.size else 1
+    return edges[:, 0] * n + edges[:, 1]
+
+
+def _edge_use_counts(triangles: np.ndarray) -> np.ndarray:
+    return np.unique(_edge_keys(triangles), return_counts=True)[1]
 
 
 def _jittered(points: np.ndarray) -> np.ndarray:
@@ -101,23 +107,24 @@ def _circumradii(pts: np.ndarray, tets: np.ndarray) -> np.ndarray:
     return radii
 
 
-def _boundary_faces(jit: np.ndarray, tets: np.ndarray, keep: np.ndarray):
-    """Oriented boundary triangles of the union of kept tetrahedra."""
-    kt = tets[keep]
-    if len(kt) == 0:
-        return np.zeros((0, 3), dtype=np.int64)
-    faces = kt[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
-    opp = kt.reshape(-1)
-    key = np.sort(faces, axis=1)
+# face j of a tetrahedron is the one opposite its vertex j
+_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
+                    keep: np.ndarray):
+    """Oriented boundary triangles of the union of kept tetrahedra, sorted by
+    their sorted-vertex key.
+
+    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
+    hull (the -1 lookup into `keep` is masked by the first test).
+    """
+    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
+    tris = tets[t[:, None], _FACES[j]]
+    key = np.sort(tris, axis=1)
     order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
-    sk = key[order]
-    differs_prev = np.ones(len(sk), dtype=bool)
-    differs_prev[1:] = np.any(sk[1:] != sk[:-1], axis=1)
-    differs_next = np.ones(len(sk), dtype=bool)
-    differs_next[:-1] = differs_prev[1:]
-    sole = order[differs_prev & differs_next]
-    tris = faces[sole].copy()
-    d = jit[opp[sole]]
+    tris = tris[order]
+    d = jit[tets[t[order], j[order]]]
     a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
     # outward = away from the kept tet's fourth vertex (jittered coords are
     # never degenerate, so the sign is reliable)
@@ -134,13 +141,11 @@ def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
 def _face_components(tris: np.ndarray) -> np.ndarray:
     """Connected-component id per face, via shared undirected edges."""
     nf = len(tris)
-    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-    face_of = np.tile(np.arange(nf), 3)
-    key = np.sort(edges, axis=1)
-    order = np.lexsort((key[:, 1], key[:, 0]))
+    key = _edge_keys(tris)
+    order = np.argsort(key, kind="stable")
     sk = key[order]
-    fo = face_of[order]
-    same = np.all(sk[1:] == sk[:-1], axis=1)
+    fo = order % nf   # side i belongs to face i % nf
+    same = sk[1:] == sk[:-1]
     fa, fb = fo[:-1][same], fo[1:][same]
     graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(nf, nf))
     _, comp = connected_components(graph, directed=False)
@@ -181,10 +186,10 @@ class _AlphaComplex:
         used[self.tets[keep].ravel()] = True
         if not used.all():
             return None, f"{int((~used).sum())} points left outside the complex"
-        tris = _boundary_faces(self.jit, self.tets, keep)
+        tris = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
         if len(tris) == 0:
             return None, "empty boundary"
-        _, counts = _undirected_edges(tris)
+        counts = _edge_use_counts(tris)
         if not np.all(counts == 2):
             bad = int((counts != 2).sum())
             return None, f"{bad} edges not shared by exactly 2 triangles"
@@ -261,7 +266,7 @@ def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:
 
     Raises MeshContractError when the mesh is not closed.
     """
-    if len(mesh.triangles) == 0 or not mesh.is_closed():
+    if not mesh.is_closed():
         raise MeshContractError("mesh is open: some edge is not shared by "
                                 "exactly 2 triangles")
     a = mesh.vertices[mesh.triangles[:, 0]]

@@ -12,14 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .alpha_mesh import AUTO, TriangleMesh, build_alpha_shape, mesh_metrics
 from .containment import points_inside_mesh
 from .errors import ExtractionError, ReconstructionError
 from .region_segmentation import DistanceSamples, Thresholds
 from .spatial import nearest_canonical
-from .volume_io import LabeledVolume
+from .volume_io import LabeledVolume, centroid_mm
 
 
 def facing_vertices(a: TriangleMesh, b: TriangleMesh,
@@ -34,8 +33,8 @@ def facing_vertices(a: TriangleMesh, b: TriangleMesh,
     """
     va = np.asarray(a.vertices, dtype=float)
     vb = np.asarray(b.vertices, dtype=float)
-    idx_a, dist_a = nearest_canonical(va, vb, tree=cKDTree(va))
-    idx_b, dist_b = nearest_canonical(vb, va, tree=cKDTree(vb))
+    idx_a, dist_a = nearest_canonical(va, vb)
+    idx_b, dist_b = nearest_canonical(vb, va)
     if max_distance is not None:
         idx_a = idx_a[dist_a <= max_distance]
         idx_b = idx_b[dist_b <= max_distance]
@@ -82,9 +81,7 @@ def build_interspace(a: TriangleMesh, b: TriangleMesh,
 
     dist = None
     if centroid_a is not None and centroid_b is not None:
-        ca = centroid_a.mm if hasattr(centroid_a, "mm") else np.asarray(centroid_a, float)
-        cb = centroid_b.mm if hasattr(centroid_b, "mm") else np.asarray(centroid_b, float)
-        dist = float(np.linalg.norm(ca - cb))
+        dist = float(np.linalg.norm(centroid_mm(centroid_a) - centroid_mm(centroid_b)))
     return InterspaceMesh(mesh=mesh, label_lo=labels[0], label_hi=labels[1],
                           volume=vol, centroid_distance=dist)
 

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateDistributionError, ThresholdFailureError
-from .volume_io import CentroidAnnotation
+from .volume_io import centroid_mm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _SAMPLE_CHUNK = 4096
@@ -43,10 +43,7 @@ def distance_distribution(mesh, centroid) -> DistanceSamples:
     A centroid outside the mesh bounding box is recorded on the result but
     does not stop the computation; pathological anatomy is expected.
     """
-    if isinstance(centroid, CentroidAnnotation):
-        c = centroid.mm
-    else:
-        c = np.asarray(centroid, dtype=float)
+    c = centroid_mm(centroid)
     verts = np.asarray(mesh.vertices, dtype=float)
     if len(verts) == 0:
         raise DegenerateDistributionError("mesh has no vertices")

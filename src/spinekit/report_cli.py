@@ -22,10 +22,9 @@ from pathlib import Path
 import numpy as np
 
 from .alpha_mesh import AUTO, build_alpha_shape, mesh_metrics
-from .errors import (DegenerateDistributionError, EmptySelectionError,
-                     ExtractionError, MappingError, PhantomSpecError,
-                     ReconstructionError, RoiTooSmallError, SpineKitError,
-                     ThresholdFailureError)
+from .errors import (DegenerateDistributionError, ExtractionError,
+                     MappingError, PhantomSpecError, RoiTooSmallError,
+                     SpineKitError, ThresholdFailureError)
 from .interspace import (build_interspace, facing_vertices, filter_body,
                          interspace_voxel_stats)
 from .phantom import phantom_from_spec
@@ -84,8 +83,14 @@ class PipelineConfig:
         bad = [c for c in self.criteria if c not in ALL_CRITERIA]
         if bad:
             raise SpineKitError(f"unknown mapping criteria: {bad}")
-        if self.alpha is not None and self.alpha != AUTO and float(self.alpha) <= 0:
-            raise SpineKitError(f"alpha must be positive or 'auto', got {self.alpha}")
+        # NaN fails both comparisons, so `not 0 < x < inf` also rejects it
+        if (self.alpha is not None and self.alpha != AUTO
+                and not 0 < float(self.alpha) < np.inf):
+            raise SpineKitError(
+                f"alpha must be finite and positive or 'auto', got {self.alpha}")
+        if self.bandwidth is not None and not 0 < float(self.bandwidth) < np.inf:
+            raise SpineKitError(
+                f"bandwidth must be finite and positive, got {self.bandwidth}")
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
             raise SpineKitError(
                 f"grid_points must be an integer of at least 2, got {self.grid_points!r}")
@@ -329,7 +334,7 @@ def run_pipeline(cfg: PipelineConfig) -> SpineReport:
     for lab in labels:
         try:
             rec, art = _process_vertebra(volume, lab, cfg, warnings)
-        except (EmptySelectionError, ReconstructionError, SpineKitError) as exc:
+        except SpineKitError as exc:
             _warn(warnings, "vertebra_failed", f"label {lab}: {exc}", label=int(lab))
             continue
         records.append(rec)

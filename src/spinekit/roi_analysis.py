@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RoiTooSmallError
-from .volume_io import CentroidAnnotation, LabeledVolume
+from .volume_io import LabeledVolume, centroid_mm
 
 
 @dataclass(frozen=True)
@@ -26,10 +26,7 @@ class RoiStats:
 
 def max_inscribed_radius(mesh, centroid, voxel_diag: float) -> float:
     """Largest k * voxel_diag strictly below the centroid-to-surface distance."""
-    if isinstance(centroid, CentroidAnnotation):
-        c = centroid.mm
-    else:
-        c = np.asarray(centroid, dtype=float)
+    c = centroid_mm(centroid)
     dmin = float(np.linalg.norm(np.asarray(mesh.vertices) - c, axis=1).min())
     if dmin < voxel_diag:
         raise RoiTooSmallError(
@@ -48,10 +45,7 @@ def roi_stats(volume: LabeledVolume, centroid, radius: float) -> RoiStats:
     """HU mean and sum over voxels whose centroids lie in the closed ball."""
     if radius <= 0:
         raise RoiTooSmallError(f"radius must be positive, got {radius}")
-    if isinstance(centroid, CentroidAnnotation):
-        c = centroid.mm
-    else:
-        c = np.asarray(centroid, dtype=float)
+    c = centroid_mm(centroid)
     spacing = np.asarray(volume.spacing)
     dims = np.asarray(volume.dims)
     lo = np.maximum(np.floor((c - radius) / spacing - 0.5).astype(int), 0)

@@ -11,8 +11,8 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 
-def nearest_canonical(data: np.ndarray, queries: np.ndarray,
-                      tree: cKDTree | None = None) -> tuple[np.ndarray, np.ndarray]:
+def nearest_canonical(data: np.ndarray, queries: np.ndarray
+                      ) -> tuple[np.ndarray, np.ndarray]:
     """Index of the nearest data point for each query point.
 
     Exact squared-distance ties resolve to the lowest data index, making
@@ -22,13 +22,11 @@ def nearest_canonical(data: np.ndarray, queries: np.ndarray,
     queries = np.atleast_2d(np.asarray(queries, dtype=float))
     if len(data) == 0:
         raise ValueError("empty candidate set")
-    if tree is None:
-        tree = cKDTree(data)
-
     if len(data) == 1:
         idx = np.zeros(len(queries), dtype=np.int64)
         return idx, np.linalg.norm(queries - data[0], axis=1)
 
+    tree = cKDTree(data)
     dist2, idx2 = tree.query(queries, k=2)
     dist = dist2[:, 0].copy()
     idx = idx2[:, 0].astype(np.int64)

@@ -41,6 +41,13 @@ class CentroidAnnotation:
         return np.asarray(self.mm_pos, dtype=float)
 
 
+def centroid_mm(centroid) -> np.ndarray:
+    """mm position of a CentroidAnnotation, or of an array-like already in mm."""
+    if isinstance(centroid, CentroidAnnotation):
+        return centroid.mm
+    return np.asarray(centroid, dtype=float)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Voxel-centroid positions (mm) for one label, in x-fastest scan order."""

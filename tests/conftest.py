@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 import spinekit as sk
 
@@ -70,6 +72,54 @@ def vertex_region_truth(mesh, volume: sk.LabeledVolume, truth) -> np.ndarray:
     lookup = {1: int(sk.Region.BODY), 2: int(sk.Region.ARCH),
               3: int(sk.Region.PROCESS)}
     return np.array([lookup[p] for p in part], dtype=np.int8)
+
+
+def sorted_boundary_faces(jit: np.ndarray, tets: np.ndarray,
+                          keep: np.ndarray) -> np.ndarray:
+    """Alpha-shape boundary by counting faces: every face of every kept
+    tetrahedron, lexsorted by sorted-vertex key; keys that occur once are
+    the boundary, oriented away from the tetrahedron's fourth vertex."""
+    kt = tets[keep]
+    if len(kt) == 0:
+        return np.zeros((0, 3), dtype=np.int64)
+    faces = kt[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]].reshape(-1, 3)
+    opp = kt.reshape(-1)
+    key = np.sort(faces, axis=1)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    sk_ = key[order]
+    differs_prev = np.ones(len(sk_), dtype=bool)
+    differs_prev[1:] = np.any(sk_[1:] != sk_[:-1], axis=1)
+    differs_next = np.ones(len(sk_), dtype=bool)
+    differs_next[:-1] = differs_prev[1:]
+    sole = order[differs_prev & differs_next]
+    tris = faces[sole].copy()
+    d = jit[opp[sole]]
+    a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
+    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) > 0
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return tris
+
+
+def undirected_edges(triangles: np.ndarray):
+    """Unique undirected edges (sorted vertex pairs) and their use counts."""
+    edges = np.concatenate([triangles[:, [0, 1]], triangles[:, [1, 2]],
+                            triangles[:, [2, 0]]])
+    return np.unique(np.sort(edges, axis=1), axis=0, return_counts=True)
+
+
+def edge_face_components(tris: np.ndarray) -> np.ndarray:
+    """Component id per face from a 2-column lexsort of its edges."""
+    nf = len(tris)
+    edges = np.concatenate([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+    face_of = np.tile(np.arange(nf), 3)
+    key = np.sort(edges, axis=1)
+    order = np.lexsort((key[:, 1], key[:, 0]))
+    sk_ = key[order]
+    fo = face_of[order]
+    same = np.all(sk_[1:] == sk_[:-1], axis=1)
+    fa, fb = fo[:-1][same], fo[1:][same]
+    graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(nf, nf))
+    return connected_components(graph, directed=False)[1]
 
 
 # ---------------------------------------------------------------- fixtures

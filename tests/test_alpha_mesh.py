@@ -2,10 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 import spinekit as sk
+from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces,
+                                 _edge_use_counts, _face_components)
 from spinekit.containment import winding_numbers
 from spinekit.errors import MeshContractError, ReconstructionError
+
+from conftest import edge_face_components, sorted_boundary_faces, undirected_edges
 
 
 UNIT_CUBE = np.array([[x, y, z] for x in (0.0, 1.0)
@@ -139,3 +144,68 @@ def test_outward_orientation_positive_volume(sphere_mesh):
     c = sphere_mesh.vertices[sphere_mesh.triangles[:, 2]]
     signed = np.einsum("ij,ij->i", a, np.cross(b, c)).sum() / 6.0
     assert signed > 0
+
+
+def test_empty_mesh_is_open():
+    empty = sk.TriangleMesh(vertices=np.zeros((0, 3)),
+                            triangles=np.zeros((0, 3), dtype=np.int64))
+    assert not empty.is_closed()
+    assert len(empty.edge_use_counts()) == 0
+    with pytest.raises(MeshContractError):
+        sk.mesh_metrics(empty)
+
+
+def _assert_boundary_matches_reference(complex_, alpha):
+    """Adjacency boundary == sorted-face reference, row for row, and the
+    edge and component helpers agree with their sort-based references."""
+    keep = complex_.radii <= alpha
+    tris = _boundary_faces(complex_.jit, complex_.tets,
+                           complex_.delaunay.neighbors, keep)
+    ref = sorted_boundary_faces(complex_.jit, complex_.tets, keep)
+    assert tris.shape == ref.shape
+    assert np.array_equal(tris, ref)
+    if len(tris) == 0:
+        return
+    edges, counts = undirected_edges(ref)
+    assert np.array_equal(_edge_use_counts(tris), counts)
+    mesh = sk.TriangleMesh(vertices=complex_.points, triangles=tris)
+    assert mesh.euler_characteristic() == len(complex_.points) - len(edges) + len(ref)
+    assert np.array_equal(_face_components(tris), edge_face_components(ref))
+
+
+def _alphas(complex_, fractions):
+    cand = complex_.candidates
+    picked = [cand[min(int(f * len(cand)), len(cand) - 1)] for f in fractions]
+    return [0.0, np.inf, *picked]
+
+
+@settings(max_examples=150, deadline=None)
+@given(kind=st.sampled_from(("float", (1.0, 1.0, 1.0), (0.8, 0.8, 1.25))),
+       n=st.integers(5, 60),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_boundary_faces_match_sorted_reference(kind, n, seed, fractions):
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        points = rng.uniform(-5.0, 5.0, (n, 3))
+    else:
+        # distinct voxel centroids of a 5x5x5 grid: cospherical ties galore
+        ijk = np.stack(np.unravel_index(rng.choice(125, size=n, replace=False),
+                                        (5, 5, 5)), axis=1)
+        points = (ijk + 0.5) * np.asarray(kind)
+    try:
+        complex_ = _AlphaComplex(points)
+    except ReconstructionError:
+        assume(False)
+    for alpha in _alphas(complex_, fractions):
+        _assert_boundary_matches_reference(complex_, alpha)
+
+
+@pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
+def test_phantom_boundary_faces_match_sorted_reference(fixture, request):
+    value = request.getfixturevalue(fixture)
+    points = (value if fixture == "sphere_points"
+              else sk.extract_label_points(value[0], 1))
+    complex_ = _AlphaComplex(np.asarray(points.points))
+    for alpha in _alphas(complex_, (0.1, 0.5, 0.9)) + [points.voxel_diagonal]:
+        _assert_boundary_matches_reference(complex_, alpha)

@@ -313,6 +313,30 @@ def test_cli_rejects_grid_points_below_two(tmp_path, capsys, sphere_volume,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--alpha", "nan"), ("--alpha", "inf"), ("--bandwidth", "nan"),
+    ("--bandwidth", "0"), ("--bandwidth", "-1")])
+def test_cli_rejects_non_finite_or_non_positive_config(tmp_path, capsys,
+                                                       sphere_volume, option,
+                                                       value):
+    desc = sk.write_volume(sphere_volume, tmp_path / "in")
+    assert main(["run", "--input", str(desc), "--out", str(tmp_path / "out"),
+                 option, value]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {option[2:]} must be finite and positive")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_rejects_non_finite_alpha_and_bandwidth(tmp_path):
+    for bad in (float("nan"), float("inf"), -float("inf"), 0.0, -2.0):
+        with pytest.raises(sk.SpineKitError, match="alpha"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, alpha=bad)
+        with pytest.raises(sk.SpineKitError, match="bandwidth"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, bandwidth=bad)
+    PipelineConfig(input_path=tmp_path, out_dir=tmp_path, alpha=1.5, bandwidth=0.7)
+
+
 def test_config_rejects_non_integer_grid_points(tmp_path):
     for bad in (2.5, True, "512"):
         with pytest.raises(sk.SpineKitError, match="grid_points"):
