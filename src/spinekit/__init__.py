@@ -11,10 +11,9 @@ from .phantom import (CompoundTruth, DiscPairTruth, make_compound_vertebra,
                       make_disc_pair, make_sphere_phantom, phantom_from_spec)
 from .region_segmentation import (DensityCurve, DistanceSamples, Region,
                                   RegionLabeling, Thresholds, classify_vertices,
-                                  degraded_thresholds, density_inflections,
-                                  density_modes, distance_distribution,
-                                  estimate_density, find_thresholds,
-                                  silverman_bandwidth)
+                                  degraded_thresholds, density_critical_points,
+                                  distance_distribution, estimate_density,
+                                  find_thresholds, silverman_bandwidth)
 from .report_cli import (PipelineConfig, SpineReport, emit_outputs, main,
                          run_pipeline)
 from .roi_analysis import RoiStats, max_inscribed_radius, roi_stats

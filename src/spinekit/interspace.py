@@ -21,23 +21,17 @@ from .spatial import nearest_canonical
 from .volume_io import LabeledVolume, centroid_mm
 
 
-def facing_vertices(a: TriangleMesh, b: TriangleMesh,
-                    max_distance: float | None = None,
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def facing_vertices(a: TriangleMesh,
+                    b: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
     """Vertex indices on each mesh that are nearest neighbors of the other.
 
     FacingSet(a) is the image of the NN map from b's vertices into a, and
-    symmetrically; both are sorted unique index arrays.  `max_distance`
-    optionally drops image vertices whose query was farther than the cutoff
-    (off by default: the plain NN image is used).
+    symmetrically; both are sorted unique index arrays.
     """
     va = np.asarray(a.vertices, dtype=float)
     vb = np.asarray(b.vertices, dtype=float)
-    idx_a, dist_a = nearest_canonical(va, vb)
-    idx_b, dist_b = nearest_canonical(vb, va)
-    if max_distance is not None:
-        idx_a = idx_a[dist_a <= max_distance]
-        idx_b = idx_b[dist_b <= max_distance]
+    idx_a, _ = nearest_canonical(va, vb)
+    idx_b, _ = nearest_canonical(vb, va)
     return np.unique(idx_a), np.unique(idx_b)
 
 
@@ -103,11 +97,7 @@ def interspace_voxel_stats(volume: LabeledVolume,
     Voxels carrying any vertebra label are excluded and counted separately.
     """
     mesh = interspace.mesh
-    spacing = np.asarray(volume.spacing)
-    dims = np.asarray(volume.dims)
-    lo_mm, hi_mm = mesh.bbox
-    lo = np.maximum(np.floor(lo_mm / spacing - 0.5).astype(int), 0)
-    hi = np.minimum(np.ceil(hi_mm / spacing - 0.5).astype(int) + 1, dims)
+    lo, hi = volume.voxel_box(*mesh.bbox)
     if np.any(lo >= hi):
         return InterspaceVoxelStats(None, 0, 0, 0)
 

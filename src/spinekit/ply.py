@@ -54,17 +54,3 @@ def write_ply(path, vertices: np.ndarray, triangles: np.ndarray,
         fh.write(fbuf.tobytes())
     return path
 
-
-def read_ply_counts(path) -> tuple[int, int]:
-    """Vertex and face counts from a PLY header (for tests and sanity checks)."""
-    nv = nf = 0
-    with open(path, "rb") as fh:
-        for raw in fh:
-            line = raw.decode("ascii", errors="replace").strip()
-            if line.startswith("element vertex"):
-                nv = int(line.split()[-1])
-            elif line.startswith("element face"):
-                nf = int(line.split()[-1])
-            elif line == "end_header":
-                break
-    return nv, nf

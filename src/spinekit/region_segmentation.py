@@ -4,7 +4,9 @@ Each mesh vertex gets its Euclidean distance to the vertebral-body centroid;
 a Gaussian kernel density estimate turns those distances into a 1D curve,
 and the curve's inflection points (computed in closed form from the kernel
 sum, never by finite-differencing the sampled curve) become the distance
-thresholds separating body, arch and processes.
+thresholds separating body, arch and processes.  The curve and both of its
+derivatives come from one kernel pass, which shares each block's
+exponentials between the three orders.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .volume_io import centroid_mm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _SAMPLE_CHUNK = 4096
+_CELL_BUDGET = 500_000  # grid x sample cells per kernel block, bounds peak memory
 
 
 class Region(IntEnum):
@@ -71,31 +74,25 @@ class DensityCurve:
     bandwidth: float
     samples: np.ndarray           # retained for exact derivative evaluation
 
-    def _kernel_sums(self, x: np.ndarray, order: int) -> np.ndarray:
+    def kernel(self, x) -> np.ndarray:
+        """pdf, first and second derivative at `x`, as a (3, len(x)) array."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.zeros(len(x))
+        out = np.zeros((3, len(x)))
         h = self.bandwidth
         n = len(self.samples)
-        for start in range(0, n, _SAMPLE_CHUNK):
-            block = self.samples[start:start + _SAMPLE_CHUNK]
-            t = (x[:, None] - block[None, :]) / h
-            e = np.exp(-0.5 * t * t)
-            if order == 0:
-                out += e.sum(axis=1)
-            elif order == 1:
-                out += (-t * e).sum(axis=1)
-            else:
-                out += ((t * t - 1.0) * e).sum(axis=1)
-        return out / (n * h ** (order + 1) * _SQRT2PI)
-
-    def pdf(self, x) -> np.ndarray:
-        return self._kernel_sums(x, 0)
-
-    def derivative(self, x) -> np.ndarray:
-        return self._kernel_sums(x, 1)
-
-    def second_derivative(self, x) -> np.ndarray:
-        return self._kernel_sums(x, 2)
+        rows = _CELL_BUDGET // min(n, _SAMPLE_CHUNK)
+        for r0 in range(0, len(x), rows):
+            xr = x[r0:r0 + rows, None]
+            acc = out[:, r0:r0 + rows]
+            for start in range(0, n, _SAMPLE_CHUNK):
+                block = self.samples[start:start + _SAMPLE_CHUNK]
+                t = (xr - block[None, :]) / h
+                e = np.exp(-0.5 * t * t)
+                acc[0] += e.sum(axis=1)
+                acc[1] += (-t * e).sum(axis=1)
+                acc[2] += ((t * t - 1.0) * e).sum(axis=1)
+        norm = [n * h ** (order + 1) * _SQRT2PI for order in range(3)]
+        return out / np.array(norm)[:, None]
 
 
 def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
@@ -125,7 +122,7 @@ def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
     grid = np.linspace(0.0, hi, grid_points)
     curve = DensityCurve(grid=grid, density=np.zeros(grid_points), bandwidth=h,
                          samples=values)
-    curve.density = curve.pdf(grid)
+    curve.density = curve.kernel(grid)[0]
     return curve
 
 
@@ -165,32 +162,26 @@ def _refine_roots(func, xs: np.ndarray,
     return np.asarray(roots), sign[flips]
 
 
-def density_modes(curve: DensityCurve) -> np.ndarray:
-    """Locations of interior local maxima of the density, ascending."""
+def density_critical_points(curve: DensityCurve,
+                            ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Density modes and inflections, each ascending, and a descending mask.
+
+    Modes are interior local maxima of the density.  A descending-flank
+    inflection is one where the second derivative turns from negative to
+    positive, i.e. the falling side of a density hump.  Both root sets come
+    from one kernel evaluation of a fine grid.
+    """
     fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
-    d1 = curve.derivative(fine)
-    roots, _ = _refine_roots(lambda x: float(curve.derivative(x)[0]), fine, d1)
-    if roots.size == 0:
-        return roots
-    is_max = curve.second_derivative(roots) < 0
-    roots = roots[is_max]
+    _, d1, d2 = curve.kernel(fine)
+    roots, _ = _refine_roots(lambda x: float(curve.kernel(x)[1, 0]), fine, d1)
+    infl, left_sign = _refine_roots(
+        lambda x: float(curve.kernel(x)[2, 0]), fine, d2)
+    pdf, _, curvature = curve.kernel(roots)
     # bumps carrying under 0.1% of the peak density (e.g. isolated extreme
     # samples under a narrow bandwidth) do not count as modes
     floor = 1e-3 * float(curve.density.max())
-    return roots[curve.pdf(roots) >= floor]
-
-
-def density_inflections(curve: DensityCurve) -> tuple[np.ndarray, np.ndarray]:
-    """Inflection locations and a boolean mask marking descending flanks.
-
-    A descending-flank inflection is one where the second derivative turns
-    from negative to positive, i.e. the falling side of a density hump.
-    """
-    fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
-    d2 = curve.second_derivative(fine)
-    xs, left_sign = _refine_roots(
-        lambda x: float(curve.second_derivative(x)[0]), fine, d2)
-    return xs, left_sign < 0
+    modes = roots[(curvature < 0) & (pdf >= floor)]
+    return modes, infl, left_sign < 0
 
 
 def _descending_after(x0: float, infl: np.ndarray, desc: np.ndarray) -> float | None:
@@ -207,8 +198,7 @@ def find_thresholds(curve: DensityCurve) -> Thresholds:
     is a threshold failure; callers may then fall back to
     `degraded_thresholds`.
     """
-    modes = density_modes(curve)
-    infl, desc = density_inflections(curve)
+    modes, infl, desc = density_critical_points(curve)
     if len(infl) < 2:
         raise ThresholdFailureError(
             f"density curve has only {len(infl)} inflection points")
@@ -235,7 +225,7 @@ def degraded_thresholds(curve: DensityCurve) -> Thresholds:
     with a collapsed distance distribution still gets a (flagged) labeling
     instead of failing the whole spine.
     """
-    infl, desc = density_inflections(curve)
+    _, infl, desc = density_critical_points(curve)
     if len(infl) == 0 or not desc.any():
         raise ThresholdFailureError("density curve has no descending inflection")
     global_mode = float(curve.grid[int(np.argmax(curve.density))])

@@ -551,7 +551,3 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_phantom(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())

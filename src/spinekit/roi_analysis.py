@@ -47,9 +47,7 @@ def roi_stats(volume: LabeledVolume, centroid, radius: float) -> RoiStats:
         raise RoiTooSmallError(f"radius must be positive, got {radius}")
     c = centroid_mm(centroid)
     spacing = np.asarray(volume.spacing)
-    dims = np.asarray(volume.dims)
-    lo = np.maximum(np.floor((c - radius) / spacing - 0.5).astype(int), 0)
-    hi = np.minimum(np.ceil((c + radius) / spacing - 0.5).astype(int) + 1, dims)
+    lo, hi = volume.voxel_box(c - radius, c + radius)
 
     idx = [np.arange(lo[a], hi[a]) for a in range(3)]
     gx, gy, gz = np.meshgrid(*[(ix + 0.5) for ix in idx], indexing="ij")

@@ -118,6 +118,15 @@ class LabeledVolume:
         """Centroid positions in mm for an (N, 3) array of voxel indices."""
         return (np.asarray(ijk, dtype=float) + 0.5) * np.asarray(self.spacing)
 
+    def voxel_box(self, lo_mm, hi_mm) -> tuple[np.ndarray, np.ndarray]:
+        """Per-axis index ranges [lo, hi) of the voxels whose centroids can lie
+        in the mm box [lo_mm, hi_mm], clipped to the volume (may be empty)."""
+        spacing = np.asarray(self.spacing)
+        lo = np.maximum(np.floor(lo_mm / spacing - 0.5).astype(int), 0)
+        hi = np.minimum(np.ceil(hi_mm / spacing - 0.5).astype(int) + 1,
+                        np.asarray(self.dims))
+        return lo, hi
+
 
 def extract_label_points(volume: LabeledVolume, label: int) -> PointCloud:
     """Return the mm centroids of all voxels carrying `label`.

@@ -6,6 +6,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 
 import spinekit as sk
+from spinekit.region_segmentation import _refine_roots
 
 
 # ---------------------------------------------------------------- oracles
@@ -120,6 +121,48 @@ def edge_face_components(tris: np.ndarray) -> np.ndarray:
     fa, fb = fo[:-1][same], fo[1:][same]
     graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(nf, nf))
     return connected_components(graph, directed=False)[1]
+
+
+def kernel_sums_reference(curve, x, order: int) -> np.ndarray:
+    """One derivative order of the Gaussian KDE at x, one order per pass,
+    summed over 4096-sample blocks with every grid row in one block."""
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.zeros(len(x))
+    h = curve.bandwidth
+    n = len(curve.samples)
+    for start in range(0, n, 4096):
+        block = curve.samples[start:start + 4096]
+        t = (x[:, None] - block[None, :]) / h
+        e = np.exp(-0.5 * t * t)
+        if order == 0:
+            out += e.sum(axis=1)
+        elif order == 1:
+            out += (-t * e).sum(axis=1)
+        else:
+            out += ((t * t - 1.0) * e).sum(axis=1)
+    return out / (n * h ** (order + 1) * np.sqrt(2.0 * np.pi))
+
+
+def density_modes_reference(curve) -> np.ndarray:
+    """Interior density maxima from a fine-grid pass over d1 alone."""
+    fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
+    d1 = kernel_sums_reference(curve, fine, 1)
+    roots, _ = _refine_roots(
+        lambda x: float(kernel_sums_reference(curve, x, 1)[0]), fine, d1)
+    if roots.size == 0:
+        return roots
+    roots = roots[kernel_sums_reference(curve, roots, 2) < 0]
+    floor = 1e-3 * float(curve.density.max())
+    return roots[kernel_sums_reference(curve, roots, 0) >= floor]
+
+
+def density_inflections_reference(curve) -> tuple[np.ndarray, np.ndarray]:
+    """Inflections and descending-flank mask from a fine-grid pass over d2."""
+    fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
+    d2 = kernel_sums_reference(curve, fine, 2)
+    xs, left_sign = _refine_roots(
+        lambda x: float(kernel_sums_reference(curve, x, 2)[0]), fine, d2)
+    return xs, left_sign < 0
 
 
 # ---------------------------------------------------------------- fixtures

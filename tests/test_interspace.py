@@ -31,14 +31,12 @@ def test_parallel_grids_full_sets():
     assert len(fa) == 100 and len(fb) == 100
 
 
-def test_facing_distance_cutoff():
+def test_facing_keeps_far_vertices():
     a = _stub_mesh([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
     b = _stub_mesh([[0.0, 0.0, 2.0], [10.0, 0.0, 7.0]])
     fa, fb = sk.facing_vertices(a, b)
     assert fa.tolist() == [0, 1]
-    fa_cut, fb_cut = sk.facing_vertices(a, b, max_distance=3.0)
-    assert fa_cut.tolist() == [0]
-    assert fb_cut.tolist() == [0]
+    assert fb.tolist() == [0, 1]
 
 
 def test_facing_sets_match_brute_force(disc_interspace_4):

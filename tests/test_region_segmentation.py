@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq
 
 import spinekit as sk
 from spinekit.errors import DegenerateDistributionError, ThresholdFailureError
+from spinekit.region_segmentation import _CELL_BUDGET, _SAMPLE_CHUNK
 
-from conftest import vertex_region_truth
+from conftest import (density_inflections_reference, density_modes_reference,
+                      kernel_sums_reference, vertex_region_truth)
 
 _SQRT2PI = np.sqrt(2 * np.pi)
 
@@ -135,7 +138,7 @@ def test_kde_peak_location_truncated_normal():
     draws = rng.normal(20.0, 2.0, 100_000)
     draws = draws[draws > 0]
     curve = sk.estimate_density(_as_samples(draws))
-    modes = sk.density_modes(curve)
+    modes, _, _ = sk.density_critical_points(curve)
     assert len(modes) == 1
     assert abs(modes[0] - 20.0) <= 0.2
 
@@ -144,7 +147,7 @@ def test_kde_two_mode_mixture_maxima():
     rng = np.random.default_rng(7)
     draws = _mix_samples(rng, 20_000, [0.5, 0.5], [15.0, 30.0], [1.0, 1.0])
     curve = sk.estimate_density(_as_samples(draws))
-    modes = sk.density_modes(curve)
+    modes, _, _ = sk.density_critical_points(curve)
     assert len(modes) == 2
     assert abs(modes[0] - 15.0) <= 0.3
     assert abs(modes[1] - 30.0) <= 0.3
@@ -155,6 +158,68 @@ def test_kde_two_mode_mixture_maxima():
     oracle = _roots(d1, 10.0, 35.0)
     oracle_modes = oracle[[0, -1]]       # outer roots are the two maxima
     np.testing.assert_allclose(modes, oracle_modes, atol=0.2)
+
+
+# ------------------------------------------- fused kernel vs per-order oracle
+
+def _seeded_distances(seed: int, n: int, quantum: float) -> np.ndarray:
+    """Mixture of 1-4 normal humps folded to >= 0, optionally quantized."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 5))
+    weights = rng.dirichlet(np.ones(k))
+    values = np.abs(_mix_samples(rng, n, weights, rng.uniform(2.0, 40.0, k),
+                                 rng.uniform(0.3, 4.0, k)))
+    return np.round(values / quantum) * quantum if quantum > 0 else values
+
+
+def _assert_critical_points_match(curve):
+    modes, infl, desc = sk.density_critical_points(curve)
+    ref_infl, ref_desc = density_inflections_reference(curve)
+    assert np.array_equal(modes, density_modes_reference(curve))
+    assert np.array_equal(infl, ref_infl)
+    assert np.array_equal(desc, ref_desc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
+       quantum=st.sampled_from((0.0, 0.5)),
+       row_blocks=st.floats(0.3, 2.5))
+def test_fused_kernel_rows_equal_per_order_sums(seed, n, quantum, row_blocks):
+    values = _seeded_distances(seed, n, quantum)
+    assume(np.std(values) > 0)
+    curve = sk.estimate_density(_as_samples(values), grid_points=16)
+    # grid lengths on both sides of the per-block row budget
+    rows = _CELL_BUDGET // min(n, _SAMPLE_CHUNK)
+    x = np.random.default_rng(seed).uniform(
+        -5.0, values.max() + 5.0, max(1, int(row_blocks * rows)))
+    fused = curve.kernel(x)
+    assert fused.shape == (3, len(x))
+    for order in range(3):
+        assert np.array_equal(fused[order],
+                              kernel_sums_reference(curve, x, order))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
+       quantum=st.sampled_from((0.0, 0.5)),
+       grid_points=st.integers(2, 600),
+       bandwidth=st.one_of(st.none(), st.floats(0.1, 3.0)))
+def test_critical_points_equal_per_order_passes(seed, n, quantum, grid_points,
+                                                bandwidth):
+    values = _seeded_distances(seed, n, quantum)
+    assume(np.std(values) > 0)
+    curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth,
+                                grid_points=grid_points)
+    assert np.array_equal(curve.density,
+                          kernel_sums_reference(curve, curve.grid, 0))
+    _assert_critical_points_match(curve)
+
+
+def test_critical_points_equal_per_order_passes_on_compound(compound_segmentation):
+    _, curve, _, _ = compound_segmentation
+    _assert_critical_points_match(curve)
 
 
 # ---------------------------------------------------------------- thresholds

@@ -355,10 +355,11 @@ def test_cli_module_invocation(tmp_path):
     spec_path.write_text(json.dumps({"kind": "sphere", "radius_mm": 2.0,
                                      "spacing_mm": [1, 1, 1]}))
     proc = subprocess.run(
-        [sys.executable, "-m", "spinekit.report_cli", "phantom",
+        [sys.executable, "-m", "spinekit", "phantom",
          "--spec", str(spec_path), "--out", str(tmp_path / "v")],
         capture_output=True, text=True, env=_env_importing_this_spinekit())
     assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr
     assert (tmp_path / "v" / "volume.json").exists()
 
 

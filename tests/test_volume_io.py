@@ -163,3 +163,21 @@ def test_one_label_scan_per_volume(tmp_path, monkeypatch):
     loaded.present_labels().append(7)   # callers get a copy
     assert loaded.present_labels() == [2]
     assert len(calls) == 1
+
+
+def test_voxel_box_covers_centroids_in_box():
+    dims = (6, 5, 4)
+    vol = sk.LabeledVolume(dims=dims, spacing=(0.8, 0.8, 1.25),
+                           hu=np.zeros(dims, dtype=np.int16),
+                           labels=np.zeros(dims, dtype=np.uint16))
+    ijk = np.stack(np.meshgrid(*[np.arange(d) for d in dims], indexing="ij"),
+                   axis=-1).reshape(-1, 3)
+    centers = vol.voxel_centroids_mm(ijk)
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        a, b = rng.uniform(-2.0, 8.0, (2, 3))
+        lo_mm, hi_mm = np.minimum(a, b), np.maximum(a, b)
+        lo, hi = vol.voxel_box(lo_mm, hi_mm)
+        assert np.all(lo >= 0) and np.all(hi <= np.asarray(dims))
+        inside = np.all((centers >= lo_mm) & (centers <= hi_mm), axis=1)
+        assert np.all((ijk[inside] >= lo) & (ijk[inside] < hi))
