@@ -387,13 +387,13 @@ def _pair_csv_row(rec: dict) -> list[str]:
     return [_fmt(v) for v in row]
 
 
-def _grey_colors(hu: np.ndarray) -> tuple[np.ndarray, list[int]]:
+def _grey_colors(hu: np.ndarray) -> np.ndarray:
     lo, hi = int(hu.min()), int(hu.max())
     if hi > lo:
         grey = np.rint(255.0 * (hu - lo) / (hi - lo)).astype(np.uint8)
     else:
         grey = np.full(len(hu), 127, dtype=np.uint8)
-    return np.stack([grey] * 3, axis=1), [lo, hi]
+    return np.stack([grey] * 3, axis=1)
 
 
 def emit_outputs(report: SpineReport, cfg: PipelineConfig) -> list[Path]:
@@ -431,7 +431,7 @@ def _emit_outputs(report: SpineReport, cfg: PipelineConfig, files: list[Path]):
             tex = art.textures.get(crit)
             if tex is None:
                 continue
-            grey, _window = _grey_colors(tex.hu)
+            grey = _grey_colors(tex.hu)
             files.append(write_ply(out / f"vertebra_{lab:02d}_tex_{crit}.ply",
                                    mesh.vertices, mesh.triangles, grey))
 
@@ -551,3 +551,9 @@ def main(argv=None) -> int:
     if args.command == "run":
         return _cmd_run(args)
     return _cmd_phantom(args)
+
+
+if __name__ == "__main__":
+    # runpy re-executes this already-imported module; refuse instead of
+    # running the CLI from a second copy of it
+    sys.exit("spinekit.report_cli is not a command: run `python -m spinekit`")

@@ -1,8 +1,8 @@
 """Exact nearest-neighbor queries with deterministic tie-breaking.
 
 scipy's kd-tree is exact but breaks distance ties arbitrarily; on
-grid-aligned data exact ties are common, so every module routes its queries
-through `nearest_canonical`, which resolves ties to the lowest data index.
+grid-aligned data exact ties are common, so `interspace.facing_vertices`
+queries through `nearest_canonical`, which resolves ties to the lowest index.
 """
 
 from __future__ import annotations

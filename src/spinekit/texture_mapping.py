@@ -85,8 +85,8 @@ def _external_sources(volume: LabeledVolume, label: int,
             src[rows[found]] = cand[found, first[found]]
             left.append(rows[~found])
         todo = np.concatenate(left)
-        # the vertices carry the label, so a single-valued field is all label
-        if todo.size and r_lo == 0.0 and volume.labels.min() == volume.labels.max():
+        # the vertices carry the label, so no other voxel exists if it fills the volume
+        if todo.size and r_lo == 0.0 and len(volume.label_voxels[label]) == dims.prod():
             raise MappingError(f"no voxel outside label {label} for external")
         r_lo, r_hi = r_hi, 2.0 * r_hi
     return src
@@ -96,8 +96,8 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
              criterion) -> VertexTexture:
     """Map HU values onto mesh vertices under one criterion.
 
-    Raises MappingError when a vertex is not a voxel centroid of `label`, or
-    under external when no voxel of another label exists.
+    Raises MappingError when a vertex is not a voxel centroid of `label` (a
+    positive label), or under external when no voxel of another label exists.
     """
     criterion = MappingCriterion.parse(criterion)
     verts = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
@@ -105,7 +105,7 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
     ok = np.all((near >= 0) & (near < np.asarray(volume.dims)), axis=1)
     src = np.where(ok[:, None], near, 0).astype(np.int64)
     ok &= np.all(volume.voxel_centroids_mm(src) == verts, axis=1)
-    ok &= volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label
+    ok &= (volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label) & (label > 0)
     if not ok.all():
         raise MappingError(
             f"{int((~ok).sum())} mesh vertices are not voxel centroids of label "

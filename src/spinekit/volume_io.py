@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -76,8 +77,6 @@ class LabeledVolume:
     hu: np.ndarray                # (nx, ny, nz) int16
     labels: np.ndarray            # (nx, ny, nz) uint16
     centroids: dict[int, CentroidAnnotation] = field(default_factory=dict)
-    orphan_centroids: list[int] = field(default_factory=list)
-    _present: list[int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -104,15 +103,24 @@ class LabeledVolume:
     def extent_mm(self) -> np.ndarray:
         return np.asarray(self.dims, dtype=float) * np.asarray(self.spacing)
 
-    def present_labels(self) -> list[int]:
-        """Nonzero labels with at least one voxel, ascending (computed once)."""
-        if self._present is None:
-            self._present = [int(v) for v in np.unique(self.labels) if v != 0]
-        return list(self._present)
+    @cached_property
+    def label_voxels(self) -> dict[int, np.ndarray]:
+        """Each nonzero label's ascending linear indices i + nx*(j + ny*k), by
+        ascending label; built on first use, so `labels` is fixed from then on."""
+        flat = self.labels.reshape(-1, order="F")
+        lin = np.flatnonzero(flat)                 # the one full-volume pass
+        lin = lin[np.argsort(flat[lin], kind="stable")]
+        values, starts = np.unique(flat[lin], return_index=True)
+        return dict(zip(values.tolist(), np.split(lin, starts[1:])))
 
-    def missing_centroids(self) -> list[int]:
-        """Present labels that lack a centroid annotation."""
-        return [lab for lab in self.present_labels() if lab not in self.centroids]
+    def present_labels(self) -> list[int]:
+        """Nonzero labels with at least one voxel, ascending."""
+        return list(self.label_voxels)
+
+    @property
+    def orphan_centroids(self) -> list[int]:
+        """Annotated labels that have no voxels, ascending."""
+        return sorted(set(self.centroids) - set(self.label_voxels))
 
     def voxel_centroids_mm(self, ijk: np.ndarray) -> np.ndarray:
         """Centroid positions in mm for an (N, 3) array of voxel indices."""
@@ -129,22 +137,14 @@ class LabeledVolume:
 
 
 def extract_label_points(volume: LabeledVolume, label: int) -> PointCloud:
-    """Return the mm centroids of all voxels carrying `label`.
-
-    Order is deterministic: ascending linear index i + nx*(j + ny*k)
-    (x-fastest).  Raises EmptySelectionError when the label is absent.
-    """
+    """Return the mm centroids of all voxels carrying `label`, in ascending
+    linear index (x-fastest).  Raises EmptySelectionError when it has none."""
     if label <= 0:
         raise EmptySelectionError(f"label must be positive, got {label}")
-    nx, ny, nz = volume.dims
-    flat = volume.labels.reshape(-1, order="F")
-    lin = np.nonzero(flat == label)[0]
-    if lin.size == 0:
+    lin = volume.label_voxels.get(label)
+    if lin is None:
         raise EmptySelectionError(f"label {label} has no voxels")
-    i = lin % nx
-    j = (lin // nx) % ny
-    k = lin // (nx * ny)
-    ijk = np.stack([i, j, k], axis=1)
+    ijk = np.stack(np.unravel_index(lin, volume.dims, order="F"), axis=1)
     return PointCloud(volume.voxel_centroids_mm(ijk), volume.spacing)
 
 
@@ -165,8 +165,8 @@ def load_volume(descriptor_path) -> LabeledVolume:
 
     Descriptor keys: dims, spacing_mm, hu_file, label_file, centroid_file.
     File paths are resolved relative to the descriptor location.  Centroid
-    annotations whose label has no voxels are kept in `orphan_centroids`
-    (warning level); they do not fail the load.
+    annotations whose label has no voxels do not fail the load; the volume's
+    `orphan_centroids` derives them from the labels (warning level).
     """
     descriptor_path = Path(descriptor_path)
     try:
@@ -186,8 +186,8 @@ def load_volume(descriptor_path) -> LabeledVolume:
         raise DescriptorError("dims and spacing_mm must have 3 entries")
 
     base = descriptor_path.parent
-    hu = _read_raw(base / hu_file, HU_DTYPE, dims).astype(np.int16)
-    labels = _read_raw(base / label_file, LABEL_DTYPE, dims).astype(np.uint16)
+    hu = _read_raw(base / hu_file, HU_DTYPE, dims)
+    labels = _read_raw(base / label_file, LABEL_DTYPE, dims)
 
     centroids: dict[int, CentroidAnnotation] = {}
     if centroid_file is not None:
@@ -211,11 +211,8 @@ def load_volume(descriptor_path) -> LabeledVolume:
                                       f"3 coordinates inside volume {dims}")
             centroids[lab] = CentroidAnnotation.from_voxel(lab, vox, spacing)
 
-    volume = LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
-                           centroids=centroids)
-    if centroids:
-        volume.orphan_centroids = sorted(set(centroids) - set(volume.present_labels()))
-    return volume
+    return LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
+                         centroids=centroids)
 
 
 def write_volume(volume: LabeledVolume, out_dir, stem: str = "volume") -> Path:

@@ -24,6 +24,18 @@ def brute_force_nearest(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return out
 
 
+def label_points_reference(volume: sk.LabeledVolume, label: int) -> np.ndarray:
+    """mm centroids of the voxels carrying `label`, from one `flat == label`
+    scan of the volume, in ascending linear index i + nx*(j + ny*k)."""
+    nx, ny, nz = volume.dims
+    flat = volume.labels.reshape(-1, order="F")
+    lin = np.nonzero(flat == label)[0]
+    i = lin % nx
+    j = (lin // nx) % ny
+    k = lin // (nx * ny)
+    return volume.voxel_centroids_mm(np.stack([i, j, k], axis=1))
+
+
 def lattice_source_oracle(volume: sk.LabeledVolume, label: int, vertices,
                           criterion: str) -> np.ndarray:
     """Brute-force source voxel of each vertex under one mapping criterion.

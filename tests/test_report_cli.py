@@ -363,5 +363,15 @@ def test_cli_module_invocation(tmp_path):
     assert (tmp_path / "v" / "volume.json").exists()
 
 
+def test_cli_report_cli_module_points_at_package(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "spinekit.report_cli", "run",
+         "--input", str(tmp_path / "volume.json"), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=_env_importing_this_spinekit())
+    assert proc.returncode != 0
+    assert "python -m spinekit`" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
 def test_all_criteria_constant():
     assert ALL_CRITERIA == ("internal", "euclidean", "external")

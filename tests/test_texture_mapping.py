@@ -89,6 +89,11 @@ def test_mapping_determinism(sphere_volume, sphere_mesh, textures):
 def test_missing_label_mapping_error(sphere_volume, sphere_mesh):
     with pytest.raises(MappingError):
         sk.map_grey(sphere_mesh, sphere_volume, 99, "internal")
+    # background voxels carry no label: label 0 is never a mesh's own label
+    corner = sk.TriangleMesh(vertices=np.array([[0.5, 0.5, 0.5]]),
+                             triangles=np.zeros((0, 3), dtype=int))
+    with pytest.raises(MappingError):
+        sk.map_grey(corner, sphere_volume, 0, "external")
 
 
 def test_external_empty_when_everything_labeled(sphere_mesh):

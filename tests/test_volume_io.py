@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spinekit as sk
 from spinekit.errors import DescriptorError, EmptySelectionError
-from spinekit.volume_io import HU_DTYPE, LABEL_DTYPE
+from spinekit.report_cli import PipelineConfig, run_pipeline
+from spinekit.volume_io import HU_DTYPE, LABEL_DTYPE, CentroidAnnotation
+
+from conftest import label_points_reference
 
 
 def _blank_volume(dims=(2, 2, 2), spacing=(1.0, 1.0, 1.0)):
@@ -119,13 +123,30 @@ def test_orphan_centroid_recorded(tmp_path):
     (desc_dir / "volume_centroids.json").write_text(json.dumps(centroids))
     loaded = sk.load_volume(desc)
     assert loaded.orphan_centroids == [9]
-    assert loaded.missing_centroids() == []
 
 
-def test_missing_centroid_reported(sphere_volume):
+def test_orphan_centroid_in_memory_volume():
+    labels = np.zeros((4, 4, 4), dtype=np.uint16)
+    labels[1, 1, 1] = 2
+    vol = sk.LabeledVolume(
+        dims=labels.shape, spacing=(1.0, 1.0, 1.0),
+        hu=np.zeros(labels.shape, dtype=np.int16), labels=labels,
+        centroids={lab: CentroidAnnotation.from_voxel(lab, (1.5, 1.5, 1.5), (1, 1, 1))
+                   for lab in (2, 9)})
+    assert vol.orphan_centroids == [9]
+
+
+def test_missing_centroid_reported(tmp_path, sphere_volume):
     vol = sk.LabeledVolume(dims=sphere_volume.dims, spacing=sphere_volume.spacing,
                            hu=sphere_volume.hu, labels=sphere_volume.labels)
-    assert vol.missing_centroids() == [1]
+    cfg = PipelineConfig(input_path=sk.write_volume(vol, tmp_path / "in"),
+                         out_dir=tmp_path / "out")
+    report = run_pipeline(cfg)
+    (rec,) = report.vertebrae
+    assert rec["label"] == 1 and "missing_centroid" in rec["flags"]
+    assert rec["region_counts"] is None and rec["roi"] is None
+    assert [w["label"] for w in report.warnings
+            if w["kind"] == "missing_centroid"] == [1]
 
 
 def test_centroid_annotation_validation(tmp_path):
@@ -148,21 +169,27 @@ def test_centroid_annotation_validation(tmp_path):
 
 
 def test_one_label_scan_per_volume(tmp_path, monkeypatch):
-    vol = _blank_volume(dims=(4, 4, 4))
+    vol = _blank_volume(dims=(5, 4, 3))
     vol.labels[1, 1, 1] = 2
+    vol.labels[3, 2, :] = 7
+    vol.labels[0, 3, 2] = 2
     desc = sk.write_volume(vol, tmp_path / "v")
     (tmp_path / "v" / "volume_centroids.json").write_text(json.dumps(
         [{"label": 2, "voxel": [1.5, 1.5, 1.5]}, {"label": 5, "voxel": [2.5, 2.5, 2.5]}]))
-    calls = []
-    unique = np.unique
-    monkeypatch.setattr(np, "unique",
-                        lambda *a, **kw: calls.append(1) or unique(*a, **kw))
+    sizes = {"unique": [], "flatnonzero": []}
+    for name in sizes:
+        original = getattr(np, name)
+        monkeypatch.setattr(np, name, lambda a, *args, _f=original, _n=name, **kw:
+                            sizes[_n].append(np.size(a)) or _f(a, *args, **kw))
     loaded = sk.load_volume(desc)
+    assert loaded.present_labels() == [2, 7]
+    loaded.present_labels().append(9)   # callers get a copy
+    assert loaded.present_labels() == [2, 7]
+    assert [len(sk.extract_label_points(loaded, lab)) for lab in (2, 7)] == [2, 3]
     assert loaded.orphan_centroids == [5]
-    assert loaded.present_labels() == [2]
-    loaded.present_labels().append(7)   # callers get a copy
-    assert loaded.present_labels() == [2]
-    assert len(calls) == 1
+    full = loaded.labels.size
+    assert sizes["flatnonzero"].count(full) == 1
+    assert full not in sizes["unique"]
 
 
 def test_voxel_box_covers_centroids_in_box():
@@ -181,3 +208,41 @@ def test_voxel_box_covers_centroids_in_box():
         assert np.all(lo >= 0) and np.all(hi <= np.asarray(dims))
         inside = np.all((centers >= lo_mm) & (centers <= hi_mm), axis=1)
         assert np.all((ijk[inside] >= lo) & (ijk[inside] < hi))
+
+
+_LABEL_VALUES = (0, 1, 2, 28, 65535)
+
+
+@st.composite
+def _label_fields(draw):
+    dims = tuple(draw(st.integers(1, 7)) for _ in range(3))
+    n = int(np.prod(dims))
+    kind = draw(st.sampled_from(("mixed", "zero", "single")))
+    if kind == "mixed":
+        values = draw(st.lists(st.sampled_from(_LABEL_VALUES), min_size=n, max_size=n))
+    else:
+        values = [0 if kind == "zero" else draw(st.sampled_from(_LABEL_VALUES[1:]))] * n
+    labels = np.asarray(values, dtype=np.uint16).reshape(dims)
+    return labels if draw(st.booleans()) else np.asfortranarray(labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(labels=_label_fields())
+def test_label_index_matches_scan(labels):
+    vol = sk.LabeledVolume(dims=labels.shape, spacing=(0.8, 0.8, 1.25),
+                           hu=np.zeros(labels.shape, dtype=np.int16), labels=labels)
+    present = sorted(set(labels.ravel().tolist()) - {0})
+    assert vol.present_labels() == present
+    for lab in present:
+        assert np.array_equal(sk.extract_label_points(vol, lab).points,
+                              label_points_reference(vol, lab))
+    for lab in [0] + sorted(set(_LABEL_VALUES[1:]) - set(present)):
+        with pytest.raises(EmptySelectionError):
+            sk.extract_label_points(vol, lab)
+
+
+def test_label_index_matches_scan_on_phantoms(disc_pair, compound):
+    for vol in (disc_pair[0], compound[0]):
+        for lab in vol.present_labels():
+            assert np.array_equal(sk.extract_label_points(vol, lab).points,
+                                  label_points_reference(vol, lab))
