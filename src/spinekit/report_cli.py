@@ -65,7 +65,8 @@ class PipelineConfig:
     """Knobs for one pipeline run.
 
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
-    diagonal.  `pairs` overrides the consecutive-label pairing.
+    diagonal.  `pairs` overrides the consecutive-label pairing; each pair
+    joins two different labels, both at least 1.
     """
 
     input_path: str | Path
@@ -94,6 +95,10 @@ class PipelineConfig:
         if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
             raise SpineKitError(
                 f"grid_points must be an integer of at least 2, got {self.grid_points!r}")
+        bad = [tuple(p) for p in self.pairs or () if p[0] == p[1] or min(p) < 1]
+        if bad:
+            raise SpineKitError(
+                f"pairs must join two different labels of at least 1, got {bad}")
 
     def semantic(self) -> dict:
         """Config content that determines the outputs (paths excluded)."""
@@ -533,8 +538,8 @@ def main(argv=None) -> int:
     run.add_argument("--criteria", default=",".join(ALL_CRITERIA),
                      help="comma-separated subset of internal,euclidean,external")
     run.add_argument("--pairs", default=None,
-                     help="explicit pair list like '1-2,2-3' "
-                          "(default: consecutive labels)")
+                     help="explicit pair list like '1-2,2-3' of two different "
+                          "labels >= 1 each (default: consecutive labels)")
     run.add_argument("--subject", default="", help="free-text subject tag")
     run.add_argument("--bandwidth", type=float, default=None,
                      help="override the KDE bandwidth in mm")

@@ -101,10 +101,7 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
     """
     criterion = MappingCriterion.parse(criterion)
     verts = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
-    near = np.rint(verts / np.asarray(volume.spacing) - 0.5)
-    ok = np.all((near >= 0) & (near < np.asarray(volume.dims)), axis=1)
-    src = np.where(ok[:, None], near, 0).astype(np.int64)
-    ok &= np.all(volume.voxel_centroids_mm(src) == verts, axis=1)
+    src, ok = volume.voxel_indices(verts)
     ok &= (volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label) & (label > 0)
     if not ok.all():
         raise MappingError(

@@ -126,6 +126,17 @@ class LabeledVolume:
         """Centroid positions in mm for an (N, 3) array of voxel indices."""
         return (np.asarray(ijk, dtype=float) + 0.5) * np.asarray(self.spacing)
 
+    def voxel_indices(self, mm) -> tuple[np.ndarray, np.ndarray]:
+        """Voxel index of each (N, 3) mm point and a mask of the points that
+        are exactly the centroid of a voxel inside the volume; the index is
+        (0, 0, 0) where the mask is False."""
+        mm = np.asarray(mm, dtype=float).reshape(-1, 3)
+        near = np.rint(mm / np.asarray(self.spacing) - 0.5)
+        ok = np.all((near >= 0) & (near < np.asarray(self.dims)), axis=1)
+        ijk = np.where(ok[:, None], near, 0).astype(np.int64)
+        ok &= np.all(self.voxel_centroids_mm(ijk) == mm, axis=1)
+        return ijk, ok
+
     def voxel_box(self, lo_mm, hi_mm) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis index ranges [lo, hi) of the voxels whose centroids can lie
         in the mm box [lo_mm, hi_mm], clipped to the volume (may be empty)."""

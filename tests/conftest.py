@@ -11,6 +11,129 @@ from spinekit.region_segmentation import _refine_roots
 
 # ---------------------------------------------------------------- oracles
 
+_PAIR_BUDGET = 500_000  # point x triangle cells per chunk, bounds peak memory
+
+
+def _first_nonzero_sign(*terms: np.ndarray) -> np.ndarray:
+    """Sign of the first nonzero term, elementwise; 0 if all vanish."""
+    out = np.sign(terms[0])
+    for term in terms[1:]:
+        mask = out == 0
+        if not mask.any():
+            break
+        out = np.where(mask, np.sign(term), out)
+    return out
+
+
+def _vertex_signs(d: np.ndarray) -> np.ndarray:
+    return _first_nonzero_sign(d[..., 0], d[..., 1], d[..., 2])
+
+
+def _edge_signs(dp: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    e1 = dp[..., 1] * dq[..., 0] - dp[..., 0] * dq[..., 1]
+    e2 = dp[..., 2] * dq[..., 0] - dp[..., 0] * dq[..., 2]
+    e3 = dp[..., 2] * dq[..., 1] - dp[..., 1] * dq[..., 2]
+    return _first_nonzero_sign(e1, e2, e3)
+
+
+def _winding_chunk(o: np.ndarray, tri_pts: np.ndarray):
+    # displaced triangle corners, shape (C, T, 3)
+    dp = tri_pts[None, :, 0, :] - o[:, None, :]
+    dq = tri_pts[None, :, 1, :] - o[:, None, :]
+    dr = tri_pts[None, :, 2, :] - o[:, None, :]
+
+    sp = _vertex_signs(dp)
+    sq = _vertex_signs(dq)
+    sr = _vertex_signs(dr)
+    on = (sp == 0) | (sq == 0) | (sr == 0)   # point coincides with a corner
+
+    epq = _edge_signs(dp, dq)
+    eqr = _edge_signs(dq, dr)
+    erp = _edge_signs(dr, dp)
+    # an edge whose endpoints straddle the point but whose sign chain
+    # vanishes passes through the point
+    on |= (sp != sq) & (epq == 0)
+    on |= (sq != sr) & (eqr == 0)
+    on |= (sr != sp) & (erp == 0)
+
+    boundary = (np.where(sp != sq, epq, 0)
+                + np.where(sq != sr, eqr, 0)
+                + np.where(sr != sp, erp, 0))
+
+    det = np.einsum("...i,...i->...", dp, np.cross(dq, dr))
+    tri_sign = np.sign(det)
+    on |= (boundary != 0) & (tri_sign == 0)  # face passes through the point
+
+    contrib = np.where((boundary != 0) & ~on, tri_sign, 0.0)
+    point_on = on.any(axis=1)
+    winding = np.rint(contrib.sum(axis=1) / 2.0).astype(np.int64)
+    return winding, point_on
+
+
+def winding_numbers(points: np.ndarray, vertices: np.ndarray,
+                    triangles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Generalized winding number (Jacobson et al. 2013) of the surface
+    around each point, accumulated triangle by triangle with sign chains on
+    lexicographic vertex comparisons, so rays through vertices, edges or
+    coplanar faces resolve consistently.
+
+    Returns (winding, on_surface).  Winding is 1 for points strictly inside
+    a simple outward-oriented surface and 0 outside; it is left at 0 where
+    on_surface is True.  Exact when every coordinate and every product of
+    two differences is exact in float64, as for half-integer coordinates.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    vertices = np.asarray(vertices, dtype=float)
+    triangles = np.asarray(triangles, dtype=np.int64)
+    n = len(points)
+    winding = np.zeros(n, dtype=np.int64)
+    on_surface = np.zeros(n, dtype=bool)
+    if len(triangles) == 0 or n == 0:
+        return winding, on_surface
+
+    tri_pts = vertices[triangles]            # (T, 3, 3)
+    chunk = max(1, _PAIR_BUDGET // len(triangles))
+    for start in range(0, n, chunk):
+        w, on = _winding_chunk(points[start:start + chunk], tri_pts)
+        winding[start:start + chunk] = w
+        on_surface[start:start + chunk] = on
+    winding[on_surface] = 0
+    return winding, on_surface
+
+
+def points_inside_mesh(points: np.ndarray, mesh) -> tuple[np.ndarray, np.ndarray]:
+    """Strict-interior and on-surface masks for `points` against a mesh."""
+    winding, on = winding_numbers(points, mesh.vertices, mesh.triangles)
+    return winding != 0, on
+
+
+def voxel_winding_reference(volume: sk.LabeledVolume, mesh):
+    """(lo, winding, on) over the mesh's voxel index box, like
+    `voxel_winding`, from the winding-number oracle evaluated on index
+    coordinates ijk + 0.5, which float64 holds exactly at any spacing."""
+    spacing = np.asarray(volume.spacing)
+    ijk = np.floor(np.asarray(mesh.vertices) / spacing).astype(np.int64)
+    np.testing.assert_array_equal((ijk + 0.5) * spacing, mesh.vertices)
+    lo, hi = ijk.min(axis=0), ijk.max(axis=0) + 1
+    box = np.stack(np.meshgrid(*[np.arange(a, b) for a, b in zip(lo, hi)],
+                               indexing="ij"), axis=-1).reshape(-1, 3)
+    winding, on = winding_numbers(box + 0.5, ijk + 0.5, mesh.triangles)
+    shape = tuple(hi - lo)
+    return lo, winding.reshape(shape), on.reshape(shape)
+
+
+def interspace_stats_reference(volume: sk.LabeledVolume, mesh) -> tuple:
+    """(hu_mean, hu_sum, voxel_count, excluded_count) of the voxels the
+    index-coordinate oracle puts strictly inside `mesh`."""
+    lo, winding, _ = voxel_winding_reference(volume, mesh)
+    ijk = np.argwhere(winding != 0) + lo
+    labels = volume.labels[ijk[:, 0], ijk[:, 1], ijk[:, 2]]
+    sel = ijk[labels == 0]
+    hu_sum = int(volume.hu[sel[:, 0], sel[:, 1], sel[:, 2]].sum(dtype=np.int64))
+    return (hu_sum / len(sel) if len(sel) else None, hu_sum, len(sel),
+            int((labels != 0).sum()))
+
+
 def brute_force_nearest(data: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """All-pairs nearest neighbor with lowest-index tie-breaking."""
     data = np.asarray(data, dtype=float)

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings, strategies as st
 import spinekit as sk
 from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces,
                                  _edge_use_counts, _face_components)
-from spinekit.containment import winding_numbers
 from spinekit.errors import MeshContractError, ReconstructionError
 
-from conftest import edge_face_components, sorted_boundary_faces, undirected_edges
+from conftest import (edge_face_components, sorted_boundary_faces, undirected_edges,
+                      winding_numbers)
 
 
 UNIT_CUBE = np.array([[x, y, z] for x in (0.0, 1.0)

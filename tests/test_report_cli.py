@@ -337,6 +337,25 @@ def test_config_rejects_non_finite_alpha_and_bandwidth(tmp_path):
     PipelineConfig(input_path=tmp_path, out_dir=tmp_path, alpha=1.5, bandwidth=0.7)
 
 
+def test_config_rejects_degenerate_pairs(tmp_path):
+    for bad in ([(2, 2)], [(1, 2), (0, 1)], [(3, -1)], [[4, 4]]):
+        with pytest.raises(sk.SpineKitError, match="pairs"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=bad)
+    PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=[(1, 2), (3, 1)])
+
+
+@pytest.mark.parametrize("pairs", ["2-2", "0-1", "1-2,1-1"])
+def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
+    # a pair of one label would report that vertebra's own body as its
+    # interspace
+    desc = sk.write_volume(disc_pair[0], tmp_path / "in")
+    assert main(["run", "--input", str(desc), "--out", str(tmp_path / "out"),
+                 "--pairs", pairs]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: pairs must join two different labels")
+    assert not (tmp_path / "out").exists()
+
+
 def test_config_rejects_non_integer_grid_points(tmp_path):
     for bad in (2.5, True, "512"):
         with pytest.raises(sk.SpineKitError, match="grid_points"):
