@@ -13,6 +13,34 @@ while all emitted geometry uses the original coordinates.
 Exactly-degenerate tetrahedra then behave as infinitely-thin cells: their
 jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
+
+Alpha complexes are local (Edelsbrunner & Mücke 1994), so a voxel-centroid
+cloud (a `PointCloud`) with a numeric alpha is triangulated only near its
+border.  Let h be half the voxel diagonal (the lattice covering radius), d(p)
+the mm distance from point p to the nearest lattice point outside the cloud
+(one EDT of the cloud's index box) and δ the jitter's largest displacement.
+For alpha > h (plus a jitter margin, see `_shell`):
+
+- every surface face has its vertices at depth <= alpha + h + δ: its dual
+  Voronoi edge holds an empty alpha-ball, and within h of that ball's center
+  lies a lattice point the cloud lacks;
+- a kept tetrahedron with a vertex v reaches depth at most d(v) + 2α + 2δ, so
+  keeping the points with d <= D = 3α + 2h + 2δ leaves every kept tetrahedron
+  and every surface face with a vertex shallower than S = α + 2h exactly as
+  the full cloud has them;
+- faces whose three vertices are all at depth >= S are the wall of the pruned
+  hollow; they share no vertex with a surface face and are dropped;
+- a point at depth >= S > one voxel diagonal has all 8 of its lattice cubes
+  filled, so it lies in a kept cube tetrahedron of the full build, and the
+  "points left outside" check needs only the shallower points.
+
+The result equals the full build bit for bit: the jitter is drawn on the
+full cloud and each triangle is written from its smallest vertex index.  (A
+tetrahedron whose circumradius lies within float rounding of alpha could
+round to the other side, as qhull may list its vertices in another order.)
+The full build is the case where no point is deep: `alpha="auto"` (its
+binary search depends on the candidate radii, which the shell changes), raw
+point arrays (no lattice) and alpha within the jitter margin of h.
 """
 
 from __future__ import annotations
@@ -83,10 +111,52 @@ def _edge_use_counts(triangles: np.ndarray) -> np.ndarray:
     return np.unique(_edge_keys(triangles), return_counts=True)[1]
 
 
+def _jitter_amplitude(points: np.ndarray) -> float:
+    """Largest jitter offset per coordinate."""
+    return _JITTER_REL * (float(points.max() - points.min()) or 1.0)
+
+
 def _jittered(points: np.ndarray) -> np.ndarray:
     rng = np.random.default_rng(_JITTER_SEED)
-    scale = float(points.max() - points.min()) or 1.0
-    return points + rng.uniform(-1.0, 1.0, points.shape) * (_JITTER_REL * scale)
+    return points + rng.uniform(-1.0, 1.0, points.shape) * _jitter_amplitude(points)
+
+
+def _shell(points: np.ndarray, spacing, alpha):
+    """(index, shallow): the points of a voxel-centroid cloud at most
+    D = 3 alpha + 2h + 2δ deep, which the complex triangulates, and the mask
+    of those among them shallower than S = alpha + 2h (module docstring).
+
+    Depth is a point's mm distance to the nearest lattice point outside the
+    cloud.  Every point is kept and shallow when there is no lattice
+    (`spacing` None), for "auto", and when alpha is within the jitter margin
+    of h.
+    """
+    full = np.arange(len(points)), np.ones(len(points), dtype=bool)
+    if spacing is None or alpha == AUTO:
+        return full
+    spacing = np.asarray(spacing, dtype=float)
+    h = 0.5 * float(np.linalg.norm(spacing))
+    delta = np.sqrt(3.0) * _jitter_amplitude(points)
+    # A lattice cube's jittered tetrahedra have circumradius h within
+    # delta * (1 + 12 sqrt(3) h^3 / cell volume) to first order (their edge
+    # matrix has determinant >= the cell volume); twice that covers the rest.
+    margin = 2.0 * delta * (1.0 + 12.0 * np.sqrt(3.0) * h ** 3 / np.prod(spacing))
+    if alpha <= h + margin:
+        return full
+    # imported here: "auto" and raw-array builds never need it
+    from scipy.ndimage import distance_transform_edt
+
+    ijk = np.rint(points / spacing - 0.5).astype(np.int64)
+    if not np.array_equal((ijk + 0.5) * spacing, points):
+        raise ReconstructionError("point cloud is not a set of voxel centroids "
+                                  "of its spacing")
+    lo = ijk.min(axis=0) - 1
+    at = tuple((ijk - lo).T)
+    mask = np.zeros(ijk.max(axis=0) - lo + 2, dtype=bool)
+    mask[at] = True
+    depth = distance_transform_edt(mask, sampling=spacing)[at]
+    index = np.flatnonzero(depth <= 3.0 * alpha + 2.0 * h + 2.0 * delta)
+    return index, depth[index] < alpha + 2.0 * h
 
 
 def _circumradii(pts: np.ndarray, tets: np.ndarray) -> np.ndarray:
@@ -114,15 +184,16 @@ _FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
                     keep: np.ndarray):
     """Oriented boundary triangles of the union of kept tetrahedra, sorted by
-    their sorted-vertex key.
+    their sorted-vertex key.  Each is its sorted key with the last two
+    vertices swapped where that faces inward, so it starts at its smallest
+    vertex whatever order qhull listed the tetrahedron in.
 
     `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
     hull (the -1 lookup into `keep` is masked by the first test).
     """
     t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
-    tris = tets[t[:, None], _FACES[j]]
-    key = np.sort(tris, axis=1)
-    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
+    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
     tris = tris[order]
     d = jit[tets[t[order], j[order]]]
     a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
@@ -153,9 +224,14 @@ def _face_components(tris: np.ndarray) -> np.ndarray:
 
 
 class _AlphaComplex:
-    """Delaunay + circumradii, reusable across alpha values."""
+    """Delaunay + circumradii, reusable across alpha values.
 
-    def __init__(self, points: np.ndarray):
+    With `spacing` and a numeric `alpha` a voxel-centroid cloud is
+    triangulated only over its boundary shell at that alpha (`_shell`); the
+    complex's vertex ids are then positions in `index`, the kept points.
+    """
+
+    def __init__(self, points: np.ndarray, spacing=None, alpha=AUTO):
         if len(points) < 4:
             raise ReconstructionError(
                 f"need at least 4 points, got {len(points)}")
@@ -164,7 +240,10 @@ class _AlphaComplex:
             raise ReconstructionError(
                 "points are coplanar or collinear; no solid can be built")
         self.points = points
-        self.jit = _jittered(points)
+        self._vol_eps = 1e-9 * float(np.linalg.norm(
+            points.max(axis=0) - points.min(axis=0))) ** 3 + 1e-12
+        self.index, self.shallow = _shell(points, spacing, alpha)
+        self.jit = _jittered(points)[self.index]
         try:
             self.delaunay = Delaunay(self.jit)
         except QhullError as exc:
@@ -175,18 +254,19 @@ class _AlphaComplex:
         if finite.size == 0:
             raise ReconstructionError("all tetrahedra are degenerate")
         self.candidates = np.unique(finite)
-        self._vol_eps = 1e-9 * float(np.linalg.norm(
-            points.max(axis=0) - points.min(axis=0))) ** 3 + 1e-12
 
     def evaluate(self, alpha: float):
-        """Boundary at `alpha`, or (None, reason) if it is not a closed
-        manifold enclosing every input point."""
+        """Boundary at `alpha` in input point ids, or (None, reason) if it is
+        not a closed manifold enclosing every input point."""
         keep = self.radii <= alpha
-        used = np.zeros(len(self.points), dtype=bool)
+        used = np.zeros(len(self.jit), dtype=bool)
         used[self.tets[keep].ravel()] = True
-        if not used.all():
-            return None, f"{int((~used).sum())} points left outside the complex"
+        outside = int((self.shallow & ~used).sum())
+        if outside:
+            return None, f"{outside} points left outside the complex"
         tris = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
+        # the wall of the pruned hollow: no shallow vertex
+        tris = self.index[tris[self.shallow[tris].any(axis=1)]]
         if len(tris) == 0:
             return None, "empty boundary"
         counts = _edge_use_counts(tris)
@@ -208,16 +288,27 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
                       source_label: int | None = None) -> TriangleMesh:
     """Reconstruct the closed external surface of a point cloud.
 
-    `alpha` is a radius in mm, or "auto" to pick the smallest critical value
-    (binary search over the sorted tetrahedron circumradii) whose boundary is
-    a closed manifold enclosing all input points.  Interior boundary
-    components (cavities) are discarded and counted on the returned mesh.
+    `alpha` is a finite positive radius in mm, or "auto" to pick the smallest
+    critical value (binary search over the sorted tetrahedron circumradii)
+    whose boundary is a closed manifold enclosing all input points.  Interior
+    boundary components (cavities) are discarded and counted on the returned
+    mesh.
+
+    A `PointCloud` with a numeric alpha above half its voxel diagonal h is
+    triangulated only where it is at most 3 alpha + 2h deep (mm to the
+    nearest lattice point outside the cloud).  The result equals the full
+    build: surface vertices lie at most alpha + h deep, and a kept
+    tetrahedron spans at most 2 alpha (module docstring).  "auto" and raw
+    point arrays use every point.
     """
+    if alpha != AUTO and not 0 < float(alpha) < np.inf:
+        raise ReconstructionError(
+            f"alpha must be finite and positive or 'auto', got {alpha}")
     if isinstance(points, PointCloud):
-        pts = np.asarray(points.points, dtype=float)
+        pts, spacing = np.asarray(points.points, dtype=float), points.spacing
     else:
-        pts = np.asarray(points, dtype=float)
-    complex_ = _AlphaComplex(pts)
+        pts, spacing = np.asarray(points, dtype=float), None
+    complex_ = _AlphaComplex(pts, spacing, alpha)
 
     if alpha == AUTO:
         cand = complex_.candidates
@@ -237,8 +328,6 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
         alpha_used = float(cand[hi])
     else:
         alpha_used = float(alpha)
-        if alpha_used <= 0:
-            raise ReconstructionError(f"alpha must be positive, got {alpha}")
         result, reason = complex_.evaluate(alpha_used)
         if result is None:
             raise ReconstructionError(

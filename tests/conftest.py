@@ -1,5 +1,9 @@
 """Shared phantom fixtures and brute-force oracles."""
 
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.sparse import coo_matrix
@@ -214,7 +218,8 @@ def sorted_boundary_faces(jit: np.ndarray, tets: np.ndarray,
                           keep: np.ndarray) -> np.ndarray:
     """Alpha-shape boundary by counting faces: every face of every kept
     tetrahedron, lexsorted by sorted-vertex key; keys that occur once are
-    the boundary, oriented away from the tetrahedron's fourth vertex."""
+    the boundary, each written as its key with the last two vertices
+    swapped where the key faces the tetrahedron's fourth vertex."""
     kt = tets[keep]
     if len(kt) == 0:
         return np.zeros((0, 3), dtype=np.int64)
@@ -228,7 +233,7 @@ def sorted_boundary_faces(jit: np.ndarray, tets: np.ndarray,
     differs_next = np.ones(len(sk_), dtype=bool)
     differs_next[:-1] = differs_prev[1:]
     sole = order[differs_prev & differs_next]
-    tris = faces[sole].copy()
+    tris = sk_[differs_prev & differs_next].copy()
     d = jit[opp[sole]]
     a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
     flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) > 0
@@ -298,6 +303,16 @@ def density_inflections_reference(curve) -> tuple[np.ndarray, np.ndarray]:
     xs, left_sign = _refine_roots(
         lambda x: float(kernel_sums_reference(curve, x, 2)[0]), fine, d2)
     return xs, left_sign < 0
+
+
+def perfbench_spine():
+    """`perfbench/spine.py` as a module: the benchmark's seeded spines."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spine.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spine", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module       # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------- fixtures

@@ -2,15 +2,15 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 import spinekit as sk
 from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces,
-                                 _edge_use_counts, _face_components)
+                                 _edge_use_counts, _face_components, _shell)
 from spinekit.errors import MeshContractError, ReconstructionError
 
-from conftest import (edge_face_components, sorted_boundary_faces, undirected_edges,
-                      winding_numbers)
+from conftest import (edge_face_components, perfbench_spine, sorted_boundary_faces,
+                      undirected_edges, winding_numbers)
 
 
 UNIT_CUBE = np.array([[x, y, z] for x in (0.0, 1.0)
@@ -209,3 +209,130 @@ def test_phantom_boundary_faces_match_sorted_reference(fixture, request):
     complex_ = _AlphaComplex(np.asarray(points.points))
     for alpha in _alphas(complex_, (0.1, 0.5, 0.9)) + [points.voxel_diagonal]:
         _assert_boundary_matches_reference(complex_, alpha)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, float("inf")])
+@pytest.mark.parametrize("cloud", [False, True])
+def test_invalid_alpha_rejected(alpha, cloud, sphere_points):
+    points = sphere_points if cloud else sphere_points.points
+    with pytest.raises(ReconstructionError, match="alpha must be finite and positive"):
+        sk.build_alpha_shape(points, alpha)
+
+
+def test_off_lattice_cloud_rejected(sphere_points):
+    moved = sk.PointCloud(sphere_points.points + 0.1, sphere_points.spacing)
+    with pytest.raises(ReconstructionError, match="not a set of voxel centroids"):
+        sk.build_alpha_shape(moved, moved.voxel_diagonal)
+
+
+# ------------------------------------------- boundary shell against full build
+
+def _lattice_cloud(inside: np.ndarray, spacing) -> sk.PointCloud:
+    ijk = np.argwhere(inside)
+    return sk.PointCloud((ijk + 0.5) * np.asarray(spacing), tuple(spacing))
+
+
+def _outcome(points, alpha):
+    try:
+        return sk.build_alpha_shape(points, alpha), None
+    except ReconstructionError as exc:
+        return None, str(exc)
+
+
+def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float,
+                               complexes: bool = True) -> int:
+    """The shell build of `cloud` equals the full build (its raw points): the
+    returned mesh or error and, with `complexes`, evaluate's triangles,
+    components, volumes and failure reason.  Returns the number of points
+    the shell leaves out."""
+    kept = len(_shell(cloud.points, cloud.spacing, alpha)[0])
+    if complexes:
+        shell = _AlphaComplex(cloud.points, cloud.spacing, alpha)
+        full = _AlphaComplex(cloud.points)
+        assert len(shell.index) == kept
+        assert len(full.index) == len(cloud)
+        (s_res, s_why), (f_res, f_why) = shell.evaluate(alpha), full.evaluate(alpha)
+        assert s_why == f_why
+        if f_res is not None:
+            for a, b in zip(s_res, f_res):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    (s_mesh, s_err), (f_mesh, f_err) = _outcome(cloud, alpha), _outcome(cloud.points, alpha)
+    assert s_err == f_err
+    if f_mesh is not None:
+        assert np.array_equal(s_mesh.vertices, f_mesh.vertices)
+        assert np.array_equal(s_mesh.triangles, f_mesh.triangles)
+        assert (s_mesh.cavities_discarded, s_mesh.n_components, s_mesh.alpha_used) == (
+            f_mesh.cavities_discarded, f_mesh.n_components, f_mesh.alpha_used)
+        assert sk.mesh_metrics(s_mesh) == sk.mesh_metrics(f_mesh)
+    return len(cloud) - kept
+
+
+# no explain phase: its line tracing of a failing example grows past 6 GiB
+@settings(max_examples=12, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+       fraction=st.floats(0.75, 1.3),
+       extra=st.floats(0.5, 2.0),
+       cavity=st.floats(0.0, 3.0),
+       notch=st.booleans(),
+       holes=st.integers(0, 6),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
+                                        holes, seed):
+    # a lattice ball deep enough to prune at this alpha, with an interior
+    # cavity, a notch cut into its side and random single-voxel holes, each
+    # kept clear of the centre so that the centre stays deep
+    rng = np.random.default_rng(seed)
+    spacing = np.asarray(spacing)
+    h = np.linalg.norm(spacing) / 2.0
+    alpha = fraction * 2.0 * h
+    deep = 3.0 * alpha + 2.0 * h + 1.0        # the shell bound plus 1 mm
+    radius = deep + 2.0 * cavity + 1.5 + extra
+    n = np.ceil(radius / spacing).astype(int) + 1
+    grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
+    dist = np.linalg.norm(grid, axis=1)
+    inside = dist <= radius
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    if cavity > 0:
+        inside &= np.linalg.norm(grid - (deep + cavity) * axis, axis=1) > cavity
+    if notch:
+        along = grid @ axis
+        inside &= ~((along < -radius + 2.0 + extra)
+                    & (np.linalg.norm(grid - np.outer(along, axis), axis=1) < 3.0))
+    clear = np.flatnonzero(inside & (dist > deep))
+    inside[rng.choice(clear, size=min(holes, len(clear)), replace=False)] = False
+    cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
+    assert _assert_shell_matches_full(cloud, alpha) > 0
+
+
+def test_hollow_ball_cavity_survives_pruning():
+    # a shell 12 mm thick around a 3.5 mm cavity: at 0.75 voxel diagonals the
+    # middle of the wall is deeper than the shell bound, so the build prunes
+    # it and must neither lose the cavity nor count the pruned hollow
+    n = 17
+    grid = np.indices((2 * n,) * 3).reshape(3, -1).T - n + 0.5
+    dist = np.linalg.norm(grid, axis=1)
+    inside = ((dist <= 15.5) & (dist > 3.5)).reshape((2 * n,) * 3)
+    cloud = _lattice_cloud(inside, (1.0, 1.0, 1.0))
+    alpha = 0.75 * cloud.voxel_diagonal
+    assert _assert_shell_matches_full(cloud, alpha) > 0
+    mesh = sk.build_alpha_shape(cloud, alpha)
+    assert (mesh.cavities_discarded, mesh.n_components) == (1, 1)
+
+
+@pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
+def test_phantom_shell_matches_full_build(fixture, request):
+    value = request.getfixturevalue(fixture)
+    cloud = (value if fixture == "sphere_points"
+             else sk.extract_label_points(value[0], 1))
+    assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal) > 0
+
+
+def test_workload_vertebrae_shell_matches_full_build():
+    spine = perfbench_spine()
+    volume, truth = spine.build_spine(spine.WORKLOADS["lumbar_r25"], 1)
+    for label in truth.levels:
+        cloud = sk.extract_label_points(volume, label)
+        assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal,
+                                          complexes=False) > 0

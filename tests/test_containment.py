@@ -1,10 +1,6 @@
 """Exact column-crossing voxelizer against the winding-number oracle, and
 the oracle itself on grid-degenerate query positions."""
 
-import importlib.util
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,8 +11,8 @@ from spinekit.interspace import voxel_winding
 from spinekit.report_cli import PipelineConfig, _process_pair, _process_vertebra
 
 from conftest import (disc_interspace, interspace_stats_reference,
-                      points_inside_mesh, voxel_winding_reference,
-                      winding_numbers)
+                      perfbench_spine, points_inside_mesh,
+                      voxel_winding_reference, winding_numbers)
 
 SPACINGS = [(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.5, 1.0, 2.0)]
 
@@ -269,20 +265,11 @@ def test_phantom_interspaces_match_oracle(gap):
             == interspace_stats_reference(volume, imesh.mesh))
 
 
-def _perfbench_spine():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "spine.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spine", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module       # dataclasses look their module up
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("name", ["lumbar_r25", "stack_auto", "fov_sparse"])
 def test_workload_pairs_match_oracle(name):
     # the pipeline's own vertebra and pair steps on seed 1 of each benchmark
     # spine, built in memory
-    spine = _perfbench_spine()
+    spine = perfbench_spine()
     workload = spine.WORKLOADS[name]
     volume, truth = spine.build_spine(workload, 1)
     cfg = PipelineConfig(input_path="", out_dir="", alpha=workload.alpha,
