@@ -17,8 +17,7 @@ from .region_segmentation import (DensityCurve, DistanceSamples, Region,
 from .report_cli import (PipelineConfig, SpineReport, emit_outputs, main,
                          run_pipeline)
 from .roi_analysis import RoiStats, max_inscribed_radius, roi_stats
-from .texture_mapping import (MappingCriterion, RegionHuSummary, VertexTexture,
-                              map_grey, region_mean_hu)
+from .texture_mapping import CRITERIA, VertexTexture, map_grey, region_mean_hu
 from .volume_io import (CentroidAnnotation, LabeledVolume, PointCloud,
                         extract_label_points, load_volume, write_volume)
 

@@ -75,10 +75,6 @@ class TriangleMesh:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    @property
-    def bbox(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.vertices.min(axis=0), self.vertices.max(axis=0)
-
     def edge_use_counts(self) -> np.ndarray:
         """Usage count per undirected edge (closed manifolds are all 2)."""
         return _edge_use_counts(self.triangles)

@@ -16,7 +16,6 @@ import numpy as np
 from .errors import PhantomSpecError
 from .volume_io import CentroidAnnotation, LabeledVolume
 
-REGION_NONE = 0
 REGION_BODY = 1
 REGION_ARCH = 2
 REGION_PROCESS = 3
@@ -83,7 +82,7 @@ class CompoundTruth:
     body_band: tuple[float, float]      # distance-from-centroid interval, mm
     arch_band: tuple[float, float]
     process_band: tuple[float, float]
-    region_id: np.ndarray               # (nx,ny,nz) uint8, REGION_* codes
+    region_id: np.ndarray               # (nx,ny,nz) uint8, REGION_* codes, 0 outside
     center_mm: np.ndarray
 
 

@@ -5,13 +5,15 @@ a Gaussian kernel density estimate turns those distances into a 1D curve,
 and the curve's inflection points (computed in closed form from the kernel
 sum, never by finite-differencing the sampled curve) become the distance
 thresholds separating body, arch and processes.  The curve and both of its
-derivatives come from one kernel pass, which shares each block's
-exponentials between the three orders.
+derivatives are sampled once, on one 4096-point grid, by a kernel pass that
+shares each block's exponentials between the three orders; sign changes
+between neighbouring grid points bracket the roots, and the kernel is
+evaluated again only to refine and classify them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
@@ -21,6 +23,7 @@ from .errors import DegenerateDistributionError, ThresholdFailureError
 from .volume_io import centroid_mm
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
+_GRID_POINTS = 4096  # abscissae of the one sampled density curve
 _SAMPLE_CHUNK = 4096
 _CELL_BUDGET = 500_000  # grid x sample cells per kernel block, bounds peak memory
 
@@ -70,9 +73,12 @@ class DensityCurve:
     """Gaussian KDE of distance samples, with closed-form derivatives."""
 
     grid: np.ndarray              # ascending abscissae, mm
-    density: np.ndarray           # KDE values on grid
     bandwidth: float
     samples: np.ndarray           # retained for exact derivative evaluation
+    values: np.ndarray = field(init=False)   # (3, len(grid)): pdf, d1, d2
+
+    def __post_init__(self):
+        self.values = self.kernel(self.grid)
 
     def kernel(self, x) -> np.ndarray:
         """pdf, first and second derivative at `x`, as a (3, len(x)) array."""
@@ -96,9 +102,9 @@ class DensityCurve:
 
 
 def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
-                     grid_points: int = 512,
                      min_bandwidth: float | None = None) -> DensityCurve:
-    """Gaussian KDE on a regular grid covering [0, max(values) + margin].
+    """Gaussian KDE, with both derivatives, on one 4096-point grid covering
+    [0, max(values) + margin].
 
     Bandwidth defaults to Silverman's rule, floored at `min_bandwidth` when
     given.  Distances measured on a voxel grid are quantized at the voxel
@@ -119,11 +125,8 @@ def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
         raise DegenerateDistributionError(f"bandwidth must be positive, got {h}")
     dmax = float(values.max())
     hi = max(1.05 * dmax, dmax + 4.0 * h)
-    grid = np.linspace(0.0, hi, grid_points)
-    curve = DensityCurve(grid=grid, density=np.zeros(grid_points), bandwidth=h,
-                         samples=values)
-    curve.density = curve.kernel(grid)[0]
-    return curve
+    return DensityCurve(grid=np.linspace(0.0, hi, _GRID_POINTS), bandwidth=h,
+                        samples=values)
 
 
 @dataclass(frozen=True)
@@ -168,18 +171,17 @@ def density_critical_points(curve: DensityCurve,
 
     Modes are interior local maxima of the density.  A descending-flank
     inflection is one where the second derivative turns from negative to
-    positive, i.e. the falling side of a density hump.  Both root sets come
-    from one kernel evaluation of a fine grid.
+    positive, i.e. the falling side of a density hump.  Both root sets are
+    bracketed by sign changes of the curve's stored d1 and d2.
     """
-    fine = np.linspace(curve.grid[0], curve.grid[-1], 8 * len(curve.grid))
-    _, d1, d2 = curve.kernel(fine)
-    roots, _ = _refine_roots(lambda x: float(curve.kernel(x)[1, 0]), fine, d1)
+    pdf_grid, d1, d2 = curve.values
+    roots, _ = _refine_roots(lambda x: float(curve.kernel(x)[1, 0]), curve.grid, d1)
     infl, left_sign = _refine_roots(
-        lambda x: float(curve.kernel(x)[2, 0]), fine, d2)
+        lambda x: float(curve.kernel(x)[2, 0]), curve.grid, d2)
     pdf, _, curvature = curve.kernel(roots)
     # bumps carrying under 0.1% of the peak density (e.g. isolated extreme
     # samples under a narrow bandwidth) do not count as modes
-    floor = 1e-3 * float(curve.density.max())
+    floor = 1e-3 * float(pdf_grid.max())
     modes = roots[(curvature < 0) & (pdf >= floor)]
     return modes, infl, left_sign < 0
 
@@ -228,7 +230,7 @@ def degraded_thresholds(curve: DensityCurve) -> Thresholds:
     _, infl, desc = density_critical_points(curve)
     if len(infl) == 0 or not desc.any():
         raise ThresholdFailureError("density curve has no descending inflection")
-    global_mode = float(curve.grid[int(np.argmax(curve.density))])
+    global_mode = float(curve.grid[int(np.argmax(curve.values[0]))])
     t1 = _descending_after(global_mode, infl, desc)
     if t1 is None:
         t1 = float(infl[desc][-1])

@@ -33,7 +33,7 @@ from .region_segmentation import (Region, classify_vertices,
                                   degraded_thresholds, distance_distribution,
                                   estimate_density, find_thresholds)
 from .roi_analysis import max_inscribed_radius, roi_stats
-from .texture_mapping import map_grey, region_mean_hu
+from .texture_mapping import CRITERIA, map_grey, region_mean_hu
 from .volume_io import extract_label_points, load_volume, write_volume
 
 logger = logging.getLogger("spinekit")
@@ -41,8 +41,7 @@ logger = logging.getLogger("spinekit")
 TOOL_NAME = "spinekit"
 TOOL_VERSION = "0.1.0"
 
-ALL_CRITERIA = ("internal", "euclidean", "external")
-_CRIT_ABBR = {"internal": "int", "euclidean": "euc", "external": "ext"}
+ALL_CRITERIA = CRITERIA
 _REGION_COLORS = {
     int(Region.BODY): (255, 0, 0),
     int(Region.ARCH): (0, 0, 255),
@@ -65,8 +64,9 @@ class PipelineConfig:
     """Knobs for one pipeline run.
 
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
-    diagonal.  `pairs` overrides the consecutive-label pairing; each pair
-    joins two different labels, both at least 1.
+    diagonal.  `criteria` names each mapping criterion at most once.
+    `pairs` overrides the consecutive-label pairing; each pair joins two
+    different labels, both at least 1.
     """
 
     input_path: str | Path
@@ -74,7 +74,6 @@ class PipelineConfig:
     alpha: float | str | None = None
     criteria: tuple[str, ...] = ALL_CRITERIA
     bandwidth: float | None = None
-    grid_points: int = 512
     pairs: list[tuple[int, int]] | None = None
     subject: str = ""
 
@@ -84,6 +83,9 @@ class PipelineConfig:
         bad = [c for c in self.criteria if c not in ALL_CRITERIA]
         if bad:
             raise SpineKitError(f"unknown mapping criteria: {bad}")
+        if len(set(self.criteria)) < len(self.criteria):
+            raise SpineKitError(
+                f"criteria must not repeat, got {list(self.criteria)}")
         # NaN fails both comparisons, so `not 0 < x < inf` also rejects it
         if (self.alpha is not None and self.alpha != AUTO
                 and not 0 < float(self.alpha) < np.inf):
@@ -92,9 +94,6 @@ class PipelineConfig:
         if self.bandwidth is not None and not 0 < float(self.bandwidth) < np.inf:
             raise SpineKitError(
                 f"bandwidth must be finite and positive, got {self.bandwidth}")
-        if not isinstance(self.grid_points, (int, np.integer)) or self.grid_points < 2:
-            raise SpineKitError(
-                f"grid_points must be an integer of at least 2, got {self.grid_points!r}")
         bad = [tuple(p) for p in self.pairs or () if p[0] == p[1] or min(p) < 1]
         if bad:
             raise SpineKitError(
@@ -111,7 +110,6 @@ class PipelineConfig:
             "alpha": alpha,
             "criteria": list(self.criteria),
             "bandwidth": self.bandwidth,
-            "grid_points": self.grid_points,
             "pairs": [list(p) for p in self.pairs] if self.pairs is not None else None,
             "subject": self.subject,
         }
@@ -204,7 +202,6 @@ def _process_vertebra(volume, label, cfg, warnings):
     try:
         # floor the bandwidth at the distance-quantization scale of the grid
         curve = estimate_density(samples, bandwidth=cfg.bandwidth,
-                                 grid_points=cfg.grid_points,
                                  min_bandwidth=volume.voxel_diagonal / 2.0)
     except DegenerateDistributionError as exc:
         curve = None
@@ -246,8 +243,7 @@ def _process_vertebra(volume, label, cfg, warnings):
                       label=int(label), criterion=crit)
                 continue
             art.textures[crit] = tex
-            summary = region_mean_hu(tex, labeling, thresholds)
-            region_hu[crit] = summary.by_region()
+            region_hu[crit] = region_mean_hu(tex, labeling)
             windows[crit] = [int(tex.hu.min()), int(tex.hu.max())]
         rec["region_hu"] = region_hu
         rec["hu_windows"] = windows
@@ -495,7 +491,7 @@ def _cmd_run(args) -> int:
         cfg = PipelineConfig(
             input_path=args.input, out_dir=args.out, alpha=alpha,
             criteria=tuple(c.strip() for c in args.criteria.split(",") if c.strip()),
-            bandwidth=args.bandwidth, grid_points=args.grid_points,
+            bandwidth=args.bandwidth,
             pairs=_parse_pairs(args.pairs) if args.pairs else None,
             subject=args.subject)
         report = run_pipeline(cfg)
@@ -543,8 +539,6 @@ def main(argv=None) -> int:
     run.add_argument("--subject", default="", help="free-text subject tag")
     run.add_argument("--bandwidth", type=float, default=None,
                      help="override the KDE bandwidth in mm")
-    run.add_argument("--grid-points", type=int, default=512,
-                     help="KDE grid resolution")
 
     ph = sub.add_parser("phantom", help="generate a synthetic phantom volume")
     ph.add_argument("--spec", required=True, help="phantom spec JSON")

@@ -13,28 +13,14 @@ voxel index.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import MappingError
-from .region_segmentation import Region, RegionLabeling, Thresholds
+from .region_segmentation import Region, RegionLabeling
 from .volume_io import LabeledVolume
 
-
-class MappingCriterion(Enum):
-    INTERNAL = "internal"
-    EUCLIDEAN = "euclidean"
-    EXTERNAL = "external"
-
-    @staticmethod
-    def parse(name) -> "MappingCriterion":
-        if isinstance(name, MappingCriterion):
-            return name
-        try:
-            return MappingCriterion(str(name).lower())
-        except ValueError as exc:
-            raise MappingError(f"unknown mapping criterion {name!r}") from exc
+CRITERIA = ("internal", "euclidean", "external")
 
 
 @dataclass
@@ -42,7 +28,7 @@ class VertexTexture:
     """Per-vertex HU value and the voxel it was sampled from."""
 
     hu: np.ndarray                # (V,) int
-    criterion: MappingCriterion
+    criterion: str                # one of CRITERIA
     source_voxel: np.ndarray      # (V, 3) int voxel indices
 
 
@@ -94,12 +80,16 @@ def _external_sources(volume: LabeledVolume, label: int,
 
 def map_grey(mesh, volume: LabeledVolume, label: int,
              criterion) -> VertexTexture:
-    """Map HU values onto mesh vertices under one criterion.
+    """Map HU values onto mesh vertices under one criterion of CRITERIA,
+    named in any letter case.
 
-    Raises MappingError when a vertex is not a voxel centroid of `label` (a
-    positive label), or under external when no voxel of another label exists.
+    Raises MappingError for an unknown criterion, when a vertex is not a
+    voxel centroid of `label` (a positive label), or under external when no
+    voxel of another label exists.
     """
-    criterion = MappingCriterion.parse(criterion)
+    name = str(criterion).lower()
+    if name not in CRITERIA:
+        raise MappingError(f"unknown mapping criterion {criterion!r}")
     verts = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
     src, ok = volume.voxel_indices(verts)
     ok &= (volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label) & (label > 0)
@@ -107,30 +97,16 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
         raise MappingError(
             f"{int((~ok).sum())} mesh vertices are not voxel centroids of label "
             f"{label}, e.g. {verts[np.argmin(ok)].tolist()}")
-    if criterion is MappingCriterion.EXTERNAL:
+    if name == "external":
         src = _external_sources(volume, label, src)
     hu = volume.hu[src[:, 0], src[:, 1], src[:, 2]].astype(np.int64)
-    return VertexTexture(hu=hu, criterion=criterion, source_voxel=src)
+    return VertexTexture(hu=hu, criterion=name, source_voxel=src)
 
 
-@dataclass
-class RegionHuSummary:
-    """Mean HU per functional region, paired with the distance thresholds."""
-
-    mean_body: float | None
-    mean_arch: float | None
-    mean_process: float | None
-    thresholds: Thresholds
-    criterion: MappingCriterion
-
-    def by_region(self) -> dict[str, float | None]:
-        return {"body": self.mean_body, "arch": self.mean_arch,
-                "process": self.mean_process}
-
-
-def region_mean_hu(texture: VertexTexture, labeling: RegionLabeling,
-                   thresholds: Thresholds) -> RegionHuSummary:
-    """Arithmetic mean of vertex HU per region; empty regions report None."""
+def region_mean_hu(texture: VertexTexture,
+                   labeling: RegionLabeling) -> dict[str, float | None]:
+    """Arithmetic mean of vertex HU per region, keyed "body", "arch" and
+    "process"; empty regions report None."""
     if len(texture.hu) != len(labeling.regions):
         raise MappingError("texture and labeling refer to different meshes")
 
@@ -138,8 +114,5 @@ def region_mean_hu(texture: VertexTexture, labeling: RegionLabeling,
         sel = texture.hu[labeling.mask(region)]
         return float(sel.mean()) if sel.size else None
 
-    return RegionHuSummary(mean_body=mean_of(Region.BODY),
-                           mean_arch=mean_of(Region.ARCH),
-                           mean_process=mean_of(Region.PROCESS),
-                           thresholds=thresholds,
-                           criterion=texture.criterion)
+    return {"body": mean_of(Region.BODY), "arch": mean_of(Region.ARCH),
+            "process": mean_of(Region.PROCESS)}

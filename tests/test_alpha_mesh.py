@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import spinekit as sk
 from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces,
@@ -267,9 +267,7 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float,
     return len(cloud) - kept
 
 
-# no explain phase: its line tracing of a failing example grows past 6 GiB
-@settings(max_examples=12, deadline=None,
-          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@settings(max_examples=12, deadline=None)
 @given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
        fraction=st.floats(0.75, 1.3),
        extra=st.floats(0.5, 2.0),

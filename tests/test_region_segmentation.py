@@ -112,9 +112,10 @@ def test_density_grid_and_normalization(compound, compound_mesh):
     volume, _ = compound
     samples = sk.distance_distribution(compound_mesh, volume.centroids[1])
     curve = sk.estimate_density(samples)
-    assert len(curve.grid) == 512
+    assert len(curve.grid) == 4096
+    assert curve.values.shape == (3, 4096)
     assert curve.grid[-1] >= 1.05 * samples.values.max()
-    integral = np.trapezoid(curve.density, curve.grid)
+    integral = np.trapezoid(curve.values[0], curve.grid)
     assert 0.99 <= integral <= 1.01
 
 
@@ -123,7 +124,7 @@ def test_kde_normalization_on_synthetic_inputs():
     for values in (rng.normal(20, 2, 5000),
                    _mix_samples(rng, 5000, [0.5, 0.5], [15, 30], [1, 1])):
         curve = sk.estimate_density(_as_samples(np.abs(values)))
-        integral = np.trapezoid(curve.density, curve.grid)
+        integral = np.trapezoid(curve.values[0], curve.grid)
         assert 0.99 <= integral <= 1.01
 
 
@@ -188,7 +189,8 @@ def _assert_critical_points_match(curve):
 def test_fused_kernel_rows_equal_per_order_sums(seed, n, quantum, row_blocks):
     values = _seeded_distances(seed, n, quantum)
     assume(np.std(values) > 0)
-    curve = sk.estimate_density(_as_samples(values), grid_points=16)
+    curve = sk.DensityCurve(grid=np.zeros(1), samples=values,
+                            bandwidth=sk.silverman_bandwidth(values))
     # grid lengths on both sides of the per-block row budget
     rows = _CELL_BUDGET // min(n, _SAMPLE_CHUNK)
     x = np.random.default_rng(seed).uniform(
@@ -204,22 +206,38 @@ def test_fused_kernel_rows_equal_per_order_sums(seed, n, quantum, row_blocks):
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
        quantum=st.sampled_from((0.0, 0.5)),
-       grid_points=st.integers(2, 600),
        bandwidth=st.one_of(st.none(), st.floats(0.1, 3.0)))
-def test_critical_points_equal_per_order_passes(seed, n, quantum, grid_points,
-                                                bandwidth):
+def test_critical_points_equal_per_order_passes(seed, n, quantum, bandwidth):
     values = _seeded_distances(seed, n, quantum)
     assume(np.std(values) > 0)
-    curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth,
-                                grid_points=grid_points)
-    assert np.array_equal(curve.density,
-                          kernel_sums_reference(curve, curve.grid, 0))
+    curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth)
+    for order in range(3):
+        assert np.array_equal(curve.values[order],
+                              kernel_sums_reference(curve, curve.grid, order))
     _assert_critical_points_match(curve)
 
 
 def test_critical_points_equal_per_order_passes_on_compound(compound_segmentation):
     _, curve, _, _ = compound_segmentation
     _assert_critical_points_match(curve)
+
+
+def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):
+    # the thresholds and their fallback read the curve's stored grid values;
+    # the kernel is called again only for brentq and for the roots
+    samples = compound_segmentation[0]
+    lengths = []
+    kernel = sk.DensityCurve.kernel
+
+    def recording_kernel(self, x):
+        lengths.append(np.size(x))
+        return kernel(self, x)
+
+    monkeypatch.setattr(sk.DensityCurve, "kernel", recording_kernel)
+    curve = sk.estimate_density(samples)
+    sk.find_thresholds(curve)
+    sk.degraded_thresholds(curve)
+    assert [n for n in lengths if n >= len(curve.grid)] == [len(curve.grid)]
 
 
 # ---------------------------------------------------------------- thresholds

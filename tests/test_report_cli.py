@@ -123,6 +123,8 @@ def test_report_json_structure(disc_run):
     data = json.loads(by_name["report.json"].read_text())
     assert data["tool"]["name"] == "spinekit"
     assert data["config_hash"] == report.provenance["config_hash"]
+    assert sorted(data["config"]) == ["alpha", "bandwidth", "criteria", "pairs",
+                                      "subject"]
     assert len(data["vertebrae"]) == 2
     assert len(data["pairs"]) == 1
 
@@ -302,14 +304,14 @@ def test_cli_error_paths(tmp_path):
                  "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("grid_points", ["0", "1"])
-def test_cli_rejects_grid_points_below_two(tmp_path, capsys, sphere_volume,
-                                           grid_points):
+def test_cli_rejects_repeated_criterion(tmp_path, capsys, sphere_volume):
+    # a repeated criterion would write its texture twice and change the
+    # config hash for the same work
     desc = sk.write_volume(sphere_volume, tmp_path / "in")
     assert main(["run", "--input", str(desc), "--out", str(tmp_path / "out"),
-                 "--grid-points", grid_points]) == 2
+                 "--criteria", "internal,internal"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid_points must be an integer of at least 2")
+    assert err.startswith("error: criteria must not repeat")
     assert not (tmp_path / "out").exists()
 
 
@@ -356,10 +358,12 @@ def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     assert not (tmp_path / "out").exists()
 
 
-def test_config_rejects_non_integer_grid_points(tmp_path):
-    for bad in (2.5, True, "512"):
-        with pytest.raises(sk.SpineKitError, match="grid_points"):
-            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, grid_points=bad)
+def test_config_rejects_repeated_criterion(tmp_path):
+    for bad in (("internal", "internal"), ("external", "euclidean", "external")):
+        with pytest.raises(sk.SpineKitError, match="criteria must not repeat"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, criteria=bad)
+    PipelineConfig(input_path=tmp_path, out_dir=tmp_path,
+                   criteria=("external", "internal"))
 
 
 def _env_importing_this_spinekit() -> dict:

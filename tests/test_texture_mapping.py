@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import spinekit as sk
 from spinekit.errors import MappingError
-from spinekit.texture_mapping import MappingCriterion
 
 from conftest import brute_force_nearest, lattice_source_oracle
 
@@ -205,10 +204,11 @@ def test_vertex_off_own_voxel_centroids_mapping_error(vertex):
             sk.map_grey(mesh, volume, 1, criterion)
 
 
-def test_criterion_parsing():
-    assert MappingCriterion.parse("Internal") is MappingCriterion.INTERNAL
-    with pytest.raises(MappingError):
-        MappingCriterion.parse("nearest")
+def test_criterion_parsing(sphere_volume, sphere_mesh):
+    tex = sk.map_grey(sphere_mesh, sphere_volume, 1, "Internal")
+    assert tex.criterion == "internal"
+    with pytest.raises(MappingError, match="unknown mapping criterion 'nearest'"):
+        sk.map_grey(sphere_mesh, sphere_volume, 1, "nearest")
 
 
 # --------------------------------------------------------- region aggregation
@@ -216,35 +216,27 @@ def test_criterion_parsing():
 def _labeling(regions):
     th = sk.Thresholds(t1=1.0, t2=2.0, t3=3.0)
     return sk.RegionLabeling(regions=np.asarray(regions, dtype=np.int8),
-                             thresholds=th), th
+                             thresholds=th)
 
 
 def _texture(hu):
-    return sk.VertexTexture(hu=np.asarray(hu), criterion=MappingCriterion.INTERNAL,
+    return sk.VertexTexture(hu=np.asarray(hu), criterion="internal",
                             source_voxel=np.zeros((len(hu), 3), dtype=int))
 
 
 def test_region_mean_all_body():
-    labeling, th = _labeling([0, 0, 0])
-    summary = sk.region_mean_hu(_texture([100, 100, 100]), labeling, th)
-    assert summary.mean_body == 100.0
-    assert summary.mean_arch is None
-    assert summary.mean_process is None
+    means = sk.region_mean_hu(_texture([100, 100, 100]), _labeling([0, 0, 0]))
+    assert means == {"body": 100.0, "arch": None, "process": None}
 
 
 def test_region_mean_two_valued():
-    labeling, th = _labeling([0, 0, 2, 2])
-    summary = sk.region_mean_hu(_texture([100, 100, 0, 0]), labeling, th)
-    assert summary.mean_body == 100.0
-    assert summary.mean_arch is None
-    assert summary.mean_process == 0.0
+    means = sk.region_mean_hu(_texture([100, 100, 0, 0]), _labeling([0, 0, 2, 2]))
+    assert means == {"body": 100.0, "arch": None, "process": 0.0}
 
 
 def test_region_mean_constant_everywhere():
-    labeling, th = _labeling([0, 1, 2])
-    summary = sk.region_mean_hu(_texture([100, 100, 100]), labeling, th)
-    assert (summary.mean_body, summary.mean_arch, summary.mean_process) \
-        == (100.0, 100.0, 100.0)
+    means = sk.region_mean_hu(_texture([100, 100, 100]), _labeling([0, 1, 2]))
+    assert means == {"body": 100.0, "arch": 100.0, "process": 100.0}
 
 
 def test_two_valued_phantom_exactness(sphere_volume, sphere_mesh, textures):
@@ -254,6 +246,6 @@ def test_two_valued_phantom_exactness(sphere_volume, sphere_mesh, textures):
     th = sk.degraded_thresholds(curve)
     labeling = sk.classify_vertices(samples, th)
     for crit, value in (("internal", 100.0), ("external", 0.0)):
-        summary = sk.region_mean_hu(textures[crit], labeling, th)
-        for mean in summary.by_region().values():
+        means = sk.region_mean_hu(textures[crit], labeling)
+        for mean in means.values():
             assert mean is None or mean == value
