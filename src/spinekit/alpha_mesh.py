@@ -3,13 +3,14 @@
 The alpha complex is computed from the Delaunay tetrahedralization of the
 point cloud: a tetrahedron belongs to the complex iff its circumradius is at
 most alpha, and the surface is the set of triangular faces incident to
-exactly one kept tetrahedron.  A face has at most two tetrahedra and the
-Delaunay adjacency names the second, so the boundary is read off it: a kept
-tetrahedron's face is on the surface iff the neighbor across it is missing
-or not kept.  Grid-sampled clouds are full of cospherical and coplanar
-degeneracies, so the combinatorial side (triangulation, circumradii, face
-orientation) runs on a deterministically micro-jittered copy of the points
-while all emitted geometry uses the original coordinates.
+exactly one kept tetrahedron.  A face has at most two tetrahedra; in one
+build of the whole cloud the Delaunay adjacency names the second, so the
+boundary is read off it: a kept tetrahedron's face is on the surface iff the
+neighbor across it is missing or not kept.  Grid-sampled clouds are full of
+cospherical and coplanar degeneracies, so the combinatorial side
+(triangulation, circumradii, face orientation) runs on a deterministically
+micro-jittered copy of the points while all emitted geometry uses the
+original coordinates.
 Exactly-degenerate tetrahedra then behave as infinitely-thin cells: their
 jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
@@ -34,17 +35,53 @@ For alpha > h (plus a jitter margin, see `_shell`):
   filled, so it lies in a kept cube tetrahedron of the full build, and the
   "points left outside" check needs only the shallower points.
 
-The result equals the full build bit for bit: the jitter is drawn on the
-full cloud and each triangle is written from its smallest vertex index.  (A
-tetrahedron whose circumradius lies within float rounding of alpha could
-round to the other side, as qhull may list its vertices in another order.)
-The full build is the case where no point is deep: `alpha="auto"` (its
-binary search depends on the candidate radii, which the shell changes), raw
-point arrays (no lattice) and alpha within the jitter margin of h.
+The jitter is drawn on the full cloud and each triangle is written from its
+smallest vertex index, so the result equals the full build.  The full build
+is the case where no point is deep: `alpha="auto"` (its binary search
+depends on the candidate radii, which the shell changes), raw point arrays
+(no lattice) and alpha within the jitter margin of h.
+
+The shell of a `PointCloud` with a numeric alpha is then triangulated slab by
+slab on a thread pool (DeWall, Cignoni, Montani & Scopigno 1998; qhull
+releases the GIL).  Cuts run across the shell's longest axis at point-count
+quantiles.  Slab k owns the core [c_k, c_k+1) along that axis, triangulates
+every shell point within alpha + ε of its core, and keeps a tetrahedron iff
+its circumradius is <= alpha and its circumcentre lies in the core.  That is
+exactly the set of kept tetrahedra of one build of the whole shell:
+
+- a kept tetrahedron t of the whole shell has an empty ball of radius
+  r <= alpha whose centre lies in exactly one core; its vertices lie within r
+  of that centre, so they are all in that slab, where the ball is still
+  empty, and t is a Delaunay tetrahedron of the slab;
+- conversely a slab tetrahedron with r <= alpha and its centre in the core
+  has a ball within alpha of the core, so any shell point inside that ball
+  would be in the slab; its ball is empty in the whole shell.
+
+Centre and radius are computed from the vertices in ascending index, on
+coordinates relative to the shell's lowest corner, so every slab computes the
+same floats and each kept tetrahedron has exactly one owner, for any number
+of slabs.  The slack ε = alpha / 1000 covers the rounding between those floats
+and the exact centre (under 3e-7 mm measured on the benchmark spines).  The
+boundary is read by counting faces among the kept tetrahedra, not from an
+adjacency: a face used once is on it.  Each slab counts among its own, and the
+faces left from all slabs are counted again, so a face between two slabs
+drops out.  Each cut sits a quarter voxel step from the lattice
+planes and from the lattice cube centres, so the jittered tetrahedra of one
+near-cospherical lattice cube, whose centres cluster within micrometres of
+the cube centre, all fall in one core.  qhull is not exactly Delaunay on
+such cubes: a slab can fill a cube with other tetrahedra than the one build
+(a 3-2 flip, measured 1.3e-6 mm inside a ball), which fills the same volume
+and leaves the boundary unchanged.  The one build, whose radii come in
+qhull's vertex order and absolute coordinates, could keep or drop another
+tetrahedron only where its radius lies within rounding (about 1e-5 mm) of
+alpha; none lies within 1e-3 mm of the default alpha on the benchmark
+spines.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +94,8 @@ from .volume_io import PointCloud
 
 _JITTER_SEED = 0x5EB8A
 _JITTER_REL = 1e-6
+_SLAB_SLACK = 1e-3     # ε / alpha, the slab reach's rounding slack
+_SLABS_PER_WORKER = 3
 
 AUTO = "auto"
 
@@ -82,10 +121,6 @@ class TriangleMesh:
     def is_closed(self) -> bool:
         counts = self.edge_use_counts()
         return len(counts) > 0 and bool(np.all(counts == 2))
-
-    def euler_characteristic(self) -> int:
-        return int(len(self.vertices) - len(self.edge_use_counts())
-                   + len(self.triangles))
 
 
 @dataclass(frozen=True)
@@ -155,8 +190,30 @@ def _shell(points: np.ndarray, spacing, alpha):
     return index, depth[index] < alpha + 2.0 * h
 
 
-def _circumradii(pts: np.ndarray, tets: np.ndarray) -> np.ndarray:
-    """Circumradius per tetrahedron; near-singular cells get +inf."""
+def _workers() -> int:
+    """CPUs in this process's affinity mask."""
+    return len(os.sched_getaffinity(0))
+
+
+def _spans_3d(points: np.ndarray) -> bool:
+    """Whether the points are neither coplanar nor collinear."""
+    if len(points) < 4:
+        return False
+    centered = points - points.mean(axis=0)
+    tol = 1e-9 * (np.abs(centered).max() + 1.0)
+    return np.linalg.matrix_rank(centered, tol=tol) == 3
+
+
+def _delaunay(points: np.ndarray) -> Delaunay:
+    try:
+        return Delaunay(points)
+    except QhullError as exc:
+        raise ReconstructionError(f"tetrahedralization failed: {exc}") from exc
+
+
+def _circumradii(pts: np.ndarray, tets: np.ndarray):
+    """(radii, centres) per tetrahedron; near-singular cells get radius +inf
+    and a NaN centre."""
     a, b, c, d = (pts[tets[:, i]] for i in range(4))
     m = 2.0 * np.stack([b - a, c - a, d - a], axis=1)
     sq = np.einsum("ij,ij->i", pts, pts)
@@ -167,37 +224,101 @@ def _circumradii(pts: np.ndarray, tets: np.ndarray) -> np.ndarray:
     scale = np.max(np.abs(m), axis=(1, 2)) + 1e-300
     good = np.abs(det) > 1e-14 * scale ** 3
     radii = np.full(len(tets), np.inf)
+    centers = np.full((len(tets), 3), np.nan)
     if good.any():
-        centers = np.linalg.solve(m[good], rhs[good][..., None])[..., 0]
-        radii[good] = np.linalg.norm(centers - a[good], axis=1)
-    return radii
+        centers[good] = np.linalg.solve(m[good], rhs[good][..., None])[..., 0]
+        radii[good] = np.linalg.norm(centers[good] - a[good], axis=1)
+    return radii, centers
 
 
 # face j of a tetrahedron is the one opposite its vertex j
 _FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
-                    keep: np.ndarray):
-    """Oriented boundary triangles of the union of kept tetrahedra, sorted by
-    their sorted-vertex key.  Each is its sorted key with the last two
-    vertices swapped where that faces inward, so it starts at its smallest
-    vertex whatever order qhull listed the tetrahedron in.
-
-    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
-    hull (the -1 lookup into `keep` is masked by the first test).
-    """
-    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
-    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
+def _outward(jit: np.ndarray, tris: np.ndarray, opposite: np.ndarray):
+    """Triangles with ascending vertices, sorted by that key, each with its
+    last two vertices swapped where it faces its tetrahedron's `opposite`
+    vertex; so each starts at its smallest vertex."""
     order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
     tris = tris[order]
-    d = jit[tets[t[order], j[order]]]
+    d = jit[opposite[order]]
     a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
     # outward = away from the kept tet's fourth vertex (jittered coords are
     # never degenerate, so the sign is reliable)
     flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) > 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
+
+
+def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
+                    keep: np.ndarray):
+    """Oriented boundary triangles of the union of kept tetrahedra, sorted by
+    their sorted-vertex key (`_outward`), whatever order qhull listed each
+    tetrahedron in.
+
+    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
+    hull (the -1 lookup into `keep` is masked by the first test).
+    """
+    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
+    return _outward(jit, np.sort(tets[t[:, None], _FACES[j]], axis=1), tets[t, j])
+
+
+def _sole_faces(tris: np.ndarray, n: int) -> np.ndarray:
+    """Positions of the rows of `tris` (ascending vertex ids below n < 2**21)
+    whose vertex set occurs once, in ascending order of that set."""
+    t = tris.astype(np.int64)
+    _, first, count = np.unique((t[:, 0] * n + t[:, 1]) * n + t[:, 2],
+                                return_index=True, return_counts=True)
+    return first[count == 1]
+
+
+def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
+    """(kept, faces) of one slab: the tetrahedra of the Delaunay build of
+    jit[sel] with circumradius <= alpha and circumcentre in [lo, hi) along
+    `axis` of `local`, as ascending ids into `jit` (int32), and their faces
+    used once among them, oriented (`_outward`).  Only these leave the
+    worker."""
+    if not _spans_3d(jit[sel]):   # no solid tetrahedron
+        return np.zeros((0, 4), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
+    # `sel` ascends, so sorted slab ids are sorted global ids
+    tets = np.sort(_delaunay(jit[sel]).simplices, axis=1)
+    radii, centers = _circumradii(local[sel], tets)
+    own = (radii <= alpha) & (centers[:, axis] >= lo) & (centers[:, axis] < hi)
+    kept = sel[tets[own]].astype(np.int32)
+    # row 4t + j is face j of tetrahedron t, ascending, opposite its vertex j
+    faces = kept[:, _FACES].reshape(-1, 3)
+    sole = _sole_faces(faces, len(jit))
+    return kept, _outward(jit, faces[sole], kept.reshape(-1)[sole])
+
+
+def _slab_complex(points: np.ndarray, jit: np.ndarray, spacing, alpha: float,
+                  slabs: int):
+    """(kept, boundary): the kept tetrahedra at `alpha` of the Delaunay build
+    of `jit`, the jittered lattice points `points`, built in `slabs` slabs on
+    a thread pool (module docstring) as (K, 4) ascending int32 ids, and their
+    boundary triangles as `_boundary_faces` gives them."""
+    if len(jit) >= 2 ** 21:
+        raise ReconstructionError(f"{len(jit)} shell points exceed the 2**21 - 1 "
+                                  f"that an int64 face key can number")
+    axis = int(np.argmax(np.ptp(points, axis=0)))
+    origin = points.min(axis=0)
+    local = jit - origin
+    step = float(spacing[axis])
+    # lattice coordinates are (i + 1/2) step: cut at (i + 3/4) step
+    x = np.sort(points[:, axis])
+    cuts = np.unique(x[len(x) * np.arange(1, slabs) // slabs] + 0.25 * step)
+    bounds = np.concatenate(([-np.inf], cuts - origin[axis], [np.inf]))
+    reach = alpha * (1.0 + _SLAB_SLACK)
+    at = local[:, axis]
+    jobs = [(np.flatnonzero((at >= lo - reach) & (at < hi + reach)), lo, hi)
+            for lo, hi in zip(bounds[:-1], bounds[1:])]
+    with ThreadPoolExecutor(min(_workers(), len(jobs))) as pool:
+        parts = list(pool.map(
+            lambda job: _slab_tets(jit, local, job[0], axis, job[1], job[2], alpha),
+            jobs))
+    kept, faces = (np.concatenate(part) for part in zip(*parts))
+    # a face between two slabs came once from each side
+    return kept, faces[_sole_faces(np.sort(faces, axis=1), len(jit))]
 
 
 def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -220,32 +341,41 @@ def _face_components(tris: np.ndarray) -> np.ndarray:
 
 
 class _AlphaComplex:
-    """Delaunay + circumradii, reusable across alpha values.
+    """Kept tetrahedra of a point cloud and their boundary (`evaluate`).
 
-    With `spacing` and a numeric `alpha` a voxel-centroid cloud is
-    triangulated only over its boundary shell at that alpha (`_shell`); the
-    complex's vertex ids are then positions in `index`, the kept points.
+    Without `spacing`, or for "auto", one Delaunay build of every point and
+    its circumradii serve every alpha.  With `spacing` and a numeric `alpha`,
+    the cloud's boundary shell at that alpha (`_shell`) is built in `slabs`
+    slabs (`_slab_complex`; by default 3 per CPU, or 1 on one CPU) and only that
+    alpha can be evaluated; vertex ids are then positions in `index`, the
+    kept points.
     """
 
-    def __init__(self, points: np.ndarray, spacing=None, alpha=AUTO):
+    def __init__(self, points: np.ndarray, spacing=None, alpha=AUTO,
+                 slabs: int | None = None):
         if len(points) < 4:
             raise ReconstructionError(
                 f"need at least 4 points, got {len(points)}")
-        centered = points - points.mean(axis=0)
-        if np.linalg.matrix_rank(centered, tol=1e-9 * (np.abs(centered).max() + 1.0)) < 3:
+        if not _spans_3d(points):
             raise ReconstructionError(
                 "points are coplanar or collinear; no solid can be built")
         self.points = points
+        self.alpha = alpha
         self._vol_eps = 1e-9 * float(np.linalg.norm(
             points.max(axis=0) - points.min(axis=0))) ** 3 + 1e-12
         self.index, self.shallow = _shell(points, spacing, alpha)
         self.jit = _jittered(points)[self.index]
-        try:
-            self.delaunay = Delaunay(self.jit)
-        except QhullError as exc:
-            raise ReconstructionError(f"tetrahedralization failed: {exc}") from exc
+        if spacing is not None and alpha != AUTO:
+            if slabs is None:
+                workers = _workers()
+                slabs = 1 if workers == 1 else _SLABS_PER_WORKER * workers
+            self.delaunay = None
+            self.kept, self.boundary = _slab_complex(
+                points[self.index], self.jit, spacing, float(alpha), slabs)
+            return
+        self.delaunay = _delaunay(self.jit)
         self.tets = self.delaunay.simplices
-        self.radii = _circumradii(self.jit, self.tets)
+        self.radii = _circumradii(self.jit, self.tets)[0]
         finite = self.radii[np.isfinite(self.radii)]
         if finite.size == 0:
             raise ReconstructionError("all tetrahedra are degenerate")
@@ -254,13 +384,23 @@ class _AlphaComplex:
     def evaluate(self, alpha: float):
         """Boundary at `alpha` in input point ids, or (None, reason) if it is
         not a closed manifold enclosing every input point."""
-        keep = self.radii <= alpha
+        if self.delaunay is None:
+            if alpha != self.alpha:
+                raise ValueError(f"complex was built for alpha={self.alpha}, "
+                                 f"not {alpha}")
+            kept = self.kept
+        else:
+            keep = self.radii <= alpha
+            kept = self.tets[keep]
         used = np.zeros(len(self.jit), dtype=bool)
-        used[self.tets[keep].ravel()] = True
+        used[kept.ravel()] = True
         outside = int((self.shallow & ~used).sum())
         if outside:
             return None, f"{outside} points left outside the complex"
-        tris = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
+        if self.delaunay is None:
+            tris = self.boundary
+        else:
+            tris = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
         # the wall of the pruned hollow: no shallow vertex
         tris = self.index[tris[self.shallow[tris].any(axis=1)]]
         if len(tris) == 0:
@@ -294,8 +434,11 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
     triangulated only where it is at most 3 alpha + 2h deep (mm to the
     nearest lattice point outside the cloud).  The result equals the full
     build: surface vertices lie at most alpha + h deep, and a kept
-    tetrahedron spans at most 2 alpha (module docstring).  "auto" and raw
-    point arrays use every point.
+    tetrahedron spans at most 2 alpha (module docstring).  That shell is
+    triangulated in slabs on one thread per CPU of the affinity mask (3 slabs
+    per CPU, or one slab on one CPU); a kept tetrahedron has its circumcentre
+    in exactly one slab, so the result does not depend on the slab count.
+    "auto" and raw point arrays use one build of every point.
     """
     if alpha != AUTO and not 0 < float(alpha) < np.inf:
         raise ReconstructionError(
@@ -304,8 +447,11 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
         pts, spacing = np.asarray(points.points, dtype=float), points.spacing
     else:
         pts, spacing = np.asarray(points, dtype=float), None
-    complex_ = _AlphaComplex(pts, spacing, alpha)
+    return _alpha_shape(_AlphaComplex(pts, spacing, alpha), alpha, source_label)
 
+
+def _alpha_shape(complex_: _AlphaComplex, alpha, source_label) -> TriangleMesh:
+    """`build_alpha_shape` of a built complex."""
     if alpha == AUTO:
         cand = complex_.candidates
         lo, hi = 0, len(cand) - 1
@@ -336,9 +482,9 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
     tris = tris[np.isin(comp, outer)]
 
     used = np.unique(tris)
-    remap = np.zeros(len(pts), dtype=np.int64)
+    remap = np.zeros(len(complex_.points), dtype=np.int64)
     remap[used] = np.arange(len(used))
-    return TriangleMesh(vertices=pts[used].copy(),
+    return TriangleMesh(vertices=complex_.points[used].copy(),
                         triangles=remap[tris],
                         source_label=source_label,
                         alpha_used=alpha_used,

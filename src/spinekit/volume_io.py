@@ -91,17 +91,8 @@ class LabeledVolume:
                     f"{name} field has shape {arr.shape}, expected {self.dims}")
 
     @property
-    def voxel_volume(self) -> float:
-        sx, sy, sz = self.spacing
-        return sx * sy * sz
-
-    @property
     def voxel_diagonal(self) -> float:
         return float(np.linalg.norm(self.spacing))
-
-    @property
-    def extent_mm(self) -> np.ndarray:
-        return np.asarray(self.dims, dtype=float) * np.asarray(self.spacing)
 
     @cached_property
     def label_voxels(self) -> dict[int, np.ndarray]:

@@ -270,6 +270,21 @@ def edge_face_components(tris: np.ndarray) -> np.ndarray:
     return connected_components(graph, directed=False)[1]
 
 
+def euler_characteristic(mesh) -> int:
+    """V - E + F of a triangle mesh."""
+    return int(len(mesh.vertices) - len(mesh.edge_use_counts()) + len(mesh.triangles))
+
+
+def extent_mm(volume: sk.LabeledVolume) -> np.ndarray:
+    """Size of the volume along each axis in mm."""
+    return np.asarray(volume.dims, dtype=float) * np.asarray(volume.spacing)
+
+
+def voxel_volume(volume: sk.LabeledVolume) -> float:
+    """Volume of one voxel in mm^3."""
+    return float(np.prod(volume.spacing))
+
+
 def kernel_sums_reference(curve, x, order: int) -> np.ndarray:
     """One derivative order of the Gaussian KDE at x, one order per pass,
     summed over 4096-sample blocks with every grid row in one block."""
@@ -290,26 +305,30 @@ def kernel_sums_reference(curve, x, order: int) -> np.ndarray:
     return out / (n * h ** (order + 1) * np.sqrt(2.0 * np.pi))
 
 
-def density_modes_reference(curve) -> np.ndarray:
+def density_modes_reference(curve, rows) -> np.ndarray:
     """Interior density maxima from a pass over d1 alone on the curve's
-    grid, floored at 0.1% of the grid's peak pdf."""
-    d1 = kernel_sums_reference(curve, curve.grid, 1)
+    grid, floored at 0.1% of the grid's peak pdf.  `rows` holds
+    `kernel_sums_reference` on the grid for orders 0, 1 and 2."""
     roots, _ = _refine_roots(
-        lambda x: float(kernel_sums_reference(curve, x, 1)[0]), curve.grid, d1)
+        lambda x: float(kernel_sums_reference(curve, x, 1)[0]), curve.grid, rows[1])
     if roots.size == 0:
         return roots
     roots = roots[kernel_sums_reference(curve, roots, 2) < 0]
-    floor = 1e-3 * float(kernel_sums_reference(curve, curve.grid, 0).max())
+    floor = 1e-3 * float(rows[0].max())
     return roots[kernel_sums_reference(curve, roots, 0) >= floor]
 
 
-def density_inflections_reference(curve) -> tuple[np.ndarray, np.ndarray]:
+def density_inflections_reference(curve, rows) -> tuple[np.ndarray, np.ndarray]:
     """Inflections and descending-flank mask from a pass over d2 alone on
-    the curve's grid."""
-    d2 = kernel_sums_reference(curve, curve.grid, 2)
+    the curve's grid (`rows` as for `density_modes_reference`)."""
     xs, left_sign = _refine_roots(
-        lambda x: float(kernel_sums_reference(curve, x, 2)[0]), curve.grid, d2)
+        lambda x: float(kernel_sums_reference(curve, x, 2)[0]), curve.grid, rows[2])
     return xs, left_sign < 0
+
+
+def kernel_rows_reference(curve) -> list[np.ndarray]:
+    """`kernel_sums_reference` on the curve's grid for orders 0, 1 and 2."""
+    return [kernel_sums_reference(curve, curve.grid, order) for order in range(3)]
 
 
 def perfbench_spine():

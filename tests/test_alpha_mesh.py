@@ -1,16 +1,20 @@
 """Alpha-shape reconstruction and mesh metrics."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.spatial import QhullError
 
 import spinekit as sk
-from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces,
+from spinekit import alpha_mesh
+from spinekit.alpha_mesh import (_AlphaComplex, _alpha_shape, _boundary_faces,
                                  _edge_use_counts, _face_components, _shell)
 from spinekit.errors import MeshContractError, ReconstructionError
 
-from conftest import (edge_face_components, perfbench_spine, sorted_boundary_faces,
-                      undirected_edges, winding_numbers)
+from conftest import (edge_face_components, euler_characteristic, perfbench_spine,
+                      sorted_boundary_faces, undirected_edges, winding_numbers)
 
 
 UNIT_CUBE = np.array([[x, y, z] for x in (0.0, 1.0)
@@ -44,7 +48,7 @@ def test_alpha_too_small_error(sphere_points):
 def test_sphere_mesh_closed_manifold(sphere_mesh):
     counts = sphere_mesh.edge_use_counts()
     assert np.all(counts == 2)
-    assert sphere_mesh.euler_characteristic() == 2
+    assert euler_characteristic(sphere_mesh) == 2
     assert sphere_mesh.n_components == 1
     assert sphere_mesh.cavities_discarded == 0
 
@@ -169,7 +173,7 @@ def _assert_boundary_matches_reference(complex_, alpha):
     edges, counts = undirected_edges(ref)
     assert np.array_equal(_edge_use_counts(tris), counts)
     mesh = sk.TriangleMesh(vertices=complex_.points, triangles=tris)
-    assert mesh.euler_characteristic() == len(complex_.points) - len(edges) + len(ref)
+    assert euler_characteristic(mesh) == len(complex_.points) - len(edges) + len(ref)
     assert np.array_equal(_face_components(tris), edge_face_components(ref))
 
 
@@ -232,31 +236,34 @@ def _lattice_cloud(inside: np.ndarray, spacing) -> sk.PointCloud:
     return sk.PointCloud((ijk + 0.5) * np.asarray(spacing), tuple(spacing))
 
 
-def _outcome(points, alpha):
+def _outcome(build):
     try:
-        return sk.build_alpha_shape(points, alpha), None
+        return build(), None
     except ReconstructionError as exc:
         return None, str(exc)
 
 
-def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float,
-                               complexes: bool = True) -> int:
-    """The shell build of `cloud` equals the full build (its raw points): the
-    returned mesh or error and, with `complexes`, evaluate's triangles,
-    components, volumes and failure reason.  Returns the number of points
-    the shell leaves out."""
+def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
+    """The slab builds of `cloud`'s shell at 1 to 6 slabs equal one full
+    build of its raw points: evaluate's triangles, components, volumes and
+    failure reason, and the returned mesh or error.  Tetrahedra are not
+    compared, as qhull may fill a near-cospherical lattice cube differently
+    in a slab.  Returns the number of points the shell leaves out."""
     kept = len(_shell(cloud.points, cloud.spacing, alpha)[0])
-    if complexes:
-        shell = _AlphaComplex(cloud.points, cloud.spacing, alpha)
-        full = _AlphaComplex(cloud.points)
+    full = _AlphaComplex(cloud.points)
+    f_res, f_why = full.evaluate(alpha)
+    for slabs in range(1, 7):
+        shell = _AlphaComplex(cloud.points, cloud.spacing, alpha, slabs)
         assert len(shell.index) == kept
-        assert len(full.index) == len(cloud)
-        (s_res, s_why), (f_res, f_why) = shell.evaluate(alpha), full.evaluate(alpha)
+        # each kept tetrahedron has exactly one owning slab
+        assert len(np.unique(shell.kept, axis=0)) == len(shell.kept)
+        s_res, s_why = shell.evaluate(alpha)
         assert s_why == f_why
         if f_res is not None:
             for a, b in zip(s_res, f_res):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    (s_mesh, s_err), (f_mesh, f_err) = _outcome(cloud, alpha), _outcome(cloud.points, alpha)
+    s_mesh, s_err = _outcome(lambda: sk.build_alpha_shape(cloud, alpha))
+    f_mesh, f_err = _outcome(lambda: _alpha_shape(full, alpha, None))
     assert s_err == f_err
     if f_mesh is not None:
         assert np.array_equal(s_mesh.vertices, f_mesh.vertices)
@@ -332,5 +339,60 @@ def test_workload_vertebrae_shell_matches_full_build():
     volume, truth = spine.build_spine(spine.WORKLOADS["lumbar_r25"], 1)
     for label in truth.levels:
         cloud = sk.extract_label_points(volume, label)
-        assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal,
-                                          complexes=False) > 0
+        assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal) > 0
+
+
+# ------------------------------------------------- slabs on worker threads
+
+def _failing_delaunay(monkeypatch, fail_call):
+    """Make `alpha_mesh.Delaunay` raise a QhullError on call number
+    `fail_call` (from 0; None: every call)."""
+    real, calls = alpha_mesh.Delaunay, itertools.count()
+
+    def delaunay(points):
+        if fail_call is None or next(calls) == fail_call:
+            raise QhullError("QH6154 injected failure")
+        return real(points)
+
+    monkeypatch.setattr(alpha_mesh, "Delaunay", delaunay)
+
+
+def test_qhull_error_in_one_slab_is_the_serial_reconstruction_error(
+        sphere_points, monkeypatch):
+    alpha = sphere_points.voxel_diagonal
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 2)
+    _failing_delaunay(monkeypatch, 3)           # one slab of six fails
+    with pytest.raises(ReconstructionError) as threaded:
+        sk.build_alpha_shape(sphere_points, alpha)
+    _failing_delaunay(monkeypatch, None)
+    with pytest.raises(ReconstructionError) as serial:
+        sk.build_alpha_shape(sphere_points.points, alpha)   # one full build
+    assert str(threaded.value) == str(serial.value)
+    assert str(serial.value) == "tetrahedralization failed: QH6154 injected failure"
+
+
+def test_linalg_error_in_a_slab_propagates_unchanged(sphere_points, monkeypatch):
+    # `_circumradii` solves only systems it has shown to be regular, so a
+    # LinAlgError is a defect in the program, not a bad vertebra: it reaches
+    # the caller as itself, as from the serial build
+    def singular(*args):
+        raise np.linalg.LinAlgError("injected")
+
+    monkeypatch.setattr(alpha_mesh, "_circumradii", singular)
+    with pytest.raises(np.linalg.LinAlgError, match="injected"):
+        sk.build_alpha_shape(sphere_points, sphere_points.voxel_diagonal)
+
+
+def test_slab_build_rejects_more_points_than_a_face_key_holds():
+    # (a * n + b) * n + c must fit in int64; a zero-stride view costs no memory
+    many = np.broadcast_to(np.zeros(3), (2 ** 21, 3))
+    with pytest.raises(ReconstructionError, match="2097152 shell points exceed"):
+        alpha_mesh._slab_complex(many, many, (1.0, 1.0, 1.0), 1.0, 6)
+
+
+def test_slab_complex_evaluates_its_own_alpha_only(sphere_points):
+    alpha = sphere_points.voxel_diagonal
+    complex_ = _AlphaComplex(sphere_points.points, sphere_points.spacing, alpha, 3)
+    assert complex_.evaluate(alpha)[0] is not None
+    with pytest.raises(ValueError, match="built for alpha"):
+        complex_.evaluate(2.0 * alpha)

@@ -9,7 +9,7 @@ import spinekit as sk
 from spinekit.errors import PhantomSpecError
 from spinekit.phantom import phantom_from_spec
 
-from conftest import boundary_voxel_centroids
+from conftest import boundary_voxel_centroids, voxel_volume
 
 
 def test_sphere_19_voxel_ball():
@@ -102,7 +102,7 @@ def test_disc_gap_volume_against_voxel_count(disc_pair):
     ca = truth.centers_mm[0]
     in_slab = ((gz >= lo) & (gz < hi)
                & ((gx - ca[0]) ** 2 + (gy - ca[1]) ** 2 <= truth.disc_radius ** 2))
-    voxel_est = float(in_slab.sum()) * volume.voxel_volume
+    voxel_est = float(in_slab.sum()) * voxel_volume(volume)
     assert truth.gap_volume == pytest.approx(np.pi * 225.0 * 4.0, rel=1e-12)
     assert voxel_est == pytest.approx(truth.gap_volume, rel=0.01)
 

@@ -10,7 +10,8 @@ from spinekit.errors import DegenerateDistributionError, ThresholdFailureError
 from spinekit.region_segmentation import _CELL_BUDGET, _SAMPLE_CHUNK
 
 from conftest import (density_inflections_reference, density_modes_reference,
-                      kernel_sums_reference, vertex_region_truth)
+                      kernel_rows_reference, kernel_sums_reference,
+                      vertex_region_truth)
 
 _SQRT2PI = np.sqrt(2 * np.pi)
 
@@ -173,10 +174,10 @@ def _seeded_distances(seed: int, n: int, quantum: float) -> np.ndarray:
     return np.round(values / quantum) * quantum if quantum > 0 else values
 
 
-def _assert_critical_points_match(curve):
+def _assert_critical_points_match(curve, rows):
     modes, infl, desc = sk.density_critical_points(curve)
-    ref_infl, ref_desc = density_inflections_reference(curve)
-    assert np.array_equal(modes, density_modes_reference(curve))
+    ref_infl, ref_desc = density_inflections_reference(curve, rows)
+    assert np.array_equal(modes, density_modes_reference(curve, rows))
     assert np.array_equal(infl, ref_infl)
     assert np.array_equal(desc, ref_desc)
 
@@ -211,15 +212,15 @@ def test_critical_points_equal_per_order_passes(seed, n, quantum, bandwidth):
     values = _seeded_distances(seed, n, quantum)
     assume(np.std(values) > 0)
     curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth)
+    rows = kernel_rows_reference(curve)
     for order in range(3):
-        assert np.array_equal(curve.values[order],
-                              kernel_sums_reference(curve, curve.grid, order))
-    _assert_critical_points_match(curve)
+        assert np.array_equal(curve.values[order], rows[order])
+    _assert_critical_points_match(curve, rows)
 
 
 def test_critical_points_equal_per_order_passes_on_compound(compound_segmentation):
     _, curve, _, _ = compound_segmentation
-    _assert_critical_points_match(curve)
+    _assert_critical_points_match(curve, kernel_rows_reference(curve))
 
 
 def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):

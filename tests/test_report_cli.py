@@ -1,15 +1,20 @@
 """Pipeline orchestration, report emission and CLI behavior."""
 
+import itertools
 import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import QhullError
 
 import spinekit as sk
+from spinekit import alpha_mesh
 from spinekit.report_cli import (ALL_CRITERIA, PAIRS_CSV_COLUMNS,
                                  VERTEBRAE_CSV_COLUMNS, PipelineConfig,
                                  emit_outputs, main, run_pipeline)
@@ -106,6 +111,50 @@ def test_rerun_bit_identical(disc_run, tmp_path):
     by_name2 = {p.name: p for p in files2}
     for name in ("report.json", "vertebrae.csv", "pairs.csv"):
         assert by_name[name].read_bytes() == by_name2[name].read_bytes()
+
+
+def test_slabs_finishing_out_of_order_give_identical_bytes(disc_run, tmp_path,
+                                                          monkeypatch):
+    # three workers, nine slabs per vertebra; the lowest slab finishes last
+    cfg, _, files, _ = disc_run
+    finished, lock = [], threading.Lock()
+    slab_tets = alpha_mesh._slab_tets
+
+    def lowest_last(jit, local, sel, axis, lo, hi, alpha):
+        if lo == -np.inf:
+            time.sleep(0.3)
+        result = slab_tets(jit, local, sel, axis, lo, hi, alpha)
+        with lock:
+            finished.append(lo)
+        return result
+
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 3)
+    monkeypatch.setattr(alpha_mesh, "_slab_tets", lowest_last)
+    cfg2 = PipelineConfig(input_path=cfg.input_path, out_dir=tmp_path / "out2")
+    files2 = emit_outputs(run_pipeline(cfg2), cfg2)
+    assert len(finished) == 18 and finished != sorted(finished)
+    assert sorted(p.name for p in files2) == sorted(p.name for p in files)
+    by_name2 = {p.name: p for p in files2}
+    for path in files:
+        assert path.read_bytes() == by_name2[path.name].read_bytes(), path.name
+
+
+def test_qhull_error_in_one_slab_fails_that_vertebra_only(tmp_path, monkeypatch):
+    real, calls = alpha_mesh.Delaunay, itertools.count()
+
+    def second_call_fails(points):
+        if next(calls) == 1:        # a slab of label 1, the first built
+            raise QhullError("QH6154 injected failure")
+        return real(points)
+
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 2)
+    monkeypatch.setattr(alpha_mesh, "Delaunay", second_call_fails)
+    desc = sk.write_volume(_mini_spine_volume(), tmp_path / "in")
+    report = run_pipeline(PipelineConfig(input_path=desc, out_dir=tmp_path / "out"))
+    assert [rec["label"] for rec in report.vertebrae] == [2, 3]
+    failed = [w for w in report.warnings if w["kind"] == "vertebra_failed"]
+    assert [(w["label"], w["message"]) for w in failed] == [
+        (1, "label 1: tetrahedralization failed: QH6154 injected failure")]
 
 
 def test_csv_headers_match_documented_schema(disc_run):

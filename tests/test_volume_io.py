@@ -11,7 +11,7 @@ from spinekit.errors import DescriptorError, EmptySelectionError
 from spinekit.report_cli import PipelineConfig, run_pipeline
 from spinekit.volume_io import HU_DTYPE, LABEL_DTYPE, CentroidAnnotation
 
-from conftest import label_points_reference
+from conftest import extent_mm, label_points_reference
 
 
 def _blank_volume(dims=(2, 2, 2), spacing=(1.0, 1.0, 1.0)):
@@ -108,7 +108,7 @@ def test_partition_property(disc_pair):
 
 
 def test_monotone_coordinates(sphere_volume, sphere_points):
-    extent = sphere_volume.extent_mm
+    extent = extent_mm(sphere_volume)
     assert np.all(sphere_points.points > 0.0)
     assert np.all(sphere_points.points < extent)
 
