@@ -214,12 +214,11 @@ def _delaunay(points: np.ndarray) -> Delaunay:
 def _circumradii(pts: np.ndarray, tets: np.ndarray):
     """(radii, centres) per tetrahedron; near-singular cells get radius +inf
     and a NaN centre."""
-    a, b, c, d = (pts[tets[:, i]] for i in range(4))
-    m = 2.0 * np.stack([b - a, c - a, d - a], axis=1)
+    a = pts[tets[:, 0]]
+    m = pts[tets[:, 1:]] - a[:, None, :]   # rows b - a, c - a, d - a
+    m *= 2.0
     sq = np.einsum("ij,ij->i", pts, pts)
-    rhs = np.stack([sq[tets[:, 1]] - sq[tets[:, 0]],
-                    sq[tets[:, 2]] - sq[tets[:, 0]],
-                    sq[tets[:, 3]] - sq[tets[:, 0]]], axis=1)
+    rhs = sq[tets[:, 1:]] - sq[tets[:, :1]]
     det = np.linalg.det(m)
     scale = np.max(np.abs(m), axis=(1, 2)) + 1e-300
     good = np.abs(det) > 1e-14 * scale ** 3
