@@ -60,19 +60,21 @@ exactly the set of kept tetrahedra of one build of the whole shell:
 Centre and radius are computed from the vertices in ascending index, on
 coordinates relative to the shell's lowest corner, so every slab computes the
 same floats and each kept tetrahedron has exactly one owner, for any number
-of slabs.  The slack ε = alpha / 1000 covers the rounding between those floats
-and the exact centre (under 3e-7 mm measured on the benchmark spines).  The
-boundary is read by counting faces among the kept tetrahedra, not from an
-adjacency: a face used once is on it.  Each slab counts among its own, and the
-faces left from all slabs are counted again, so a face between two slabs
-drops out.  Each cut sits a quarter voxel step from the lattice
-planes and from the lattice cube centres, so the jittered tetrahedra of one
-near-cospherical lattice cube, whose centres cluster within micrometres of
-the cube centre, all fall in one core.  qhull is not exactly Delaunay on
-such cubes: a slab can fill a cube with other tetrahedra than the one build
-(a 3-2 flip, measured 1.3e-6 mm inside a ball), which fills the same volume
-and leaves the boundary unchanged.  The one build, whose radii come in
-qhull's vertex order and absolute coordinates, could keep or drop another
+of slabs.  The slack ε = alpha / 1000 covers the rounding between those
+floats and the exact centre (under 3e-7 mm measured on the benchmark
+spines).  The boundary is read by counting faces among the kept tetrahedra,
+not from an adjacency: a face used once is on it.  Each slab counts among its
+own, and the faces left from all slabs are counted again, so a face between
+two slabs drops out.
+
+qhull is not exactly Delaunay where points are nearly cospherical, so a slab
+could fill such a set with other tetrahedra than the one build; they fill
+the same volume and leave the boundary unchanged.
+Each cut sits a quarter voxel step from the lattice planes and from the
+lattice cube centres, so the tetrahedra of one near-cospherical lattice
+cube, whose centres cluster within micrometres of the cube centre, fall in
+one core and come from one triangulation.  The one build, whose radii come
+in qhull's vertex order and absolute coordinates, could keep or drop another
 tetrahedron only where its radius lies within rounding (about 1e-5 mm) of
 alpha; none lies within 1e-3 mm of the default alpha on the benchmark
 spines.
