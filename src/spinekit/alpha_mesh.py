@@ -193,8 +193,11 @@ def _shell(points: np.ndarray, spacing, alpha):
 
 
 def _workers() -> int:
-    """CPUs in this process's affinity mask."""
-    return len(os.sched_getaffinity(0))
+    """CPUs in this process's affinity mask, or in the machine where the
+    platform has no affinity mask."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _spans_3d(points: np.ndarray) -> bool:
@@ -237,15 +240,12 @@ _FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 def _outward(jit: np.ndarray, tris: np.ndarray, opposite: np.ndarray):
-    """Triangles with ascending vertices, sorted by that key, each with its
-    last two vertices swapped where it faces its tetrahedron's `opposite`
-    vertex; so each starts at its smallest vertex."""
-    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
-    tris = tris[order]
-    d = jit[opposite[order]]
+    """`tris` (ascending vertices) with their last two vertices swapped where
+    a triangle faces its tetrahedron's `opposite` vertex, so each starts at
+    its smallest vertex and faces away from its tetrahedron."""
+    d = jit[opposite]
     a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
-    # outward = away from the kept tet's fourth vertex (jittered coords are
-    # never degenerate, so the sign is reliable)
+    # jittered coords are never degenerate, so the sign is reliable
     flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) > 0
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
@@ -253,32 +253,36 @@ def _outward(jit: np.ndarray, tris: np.ndarray, opposite: np.ndarray):
 
 def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
                     keep: np.ndarray):
-    """Oriented boundary triangles of the union of kept tetrahedra, sorted by
-    their sorted-vertex key (`_outward`), whatever order qhull listed each
+    """Oriented boundary triangles of the union of kept tetrahedra (`_outward`),
+    sorted by their sorted-vertex key, whatever order qhull listed each
     tetrahedron in.
 
     `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
     hull (the -1 lookup into `keep` is masked by the first test).
     """
     t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
-    return _outward(jit, np.sort(tets[t[:, None], _FACES[j]], axis=1), tets[t, j])
+    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
+    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
+    return _outward(jit, tris[order], tets[t, j][order])
 
 
-def _sole_faces(tris: np.ndarray, n: int) -> np.ndarray:
-    """Positions of the rows of `tris` (ascending vertex ids below n < 2**21)
-    whose vertex set occurs once, in ascending order of that set."""
-    t = tris.astype(np.int64)
-    _, first, count = np.unique((t[:, 0] * n + t[:, 1]) * n + t[:, 2],
-                                return_index=True, return_counts=True)
-    return first[count == 1]
+def _sole_faces(tris: np.ndarray) -> np.ndarray:
+    """Positions of the rows of `tris` (ascending vertex ids) whose vertex
+    set occurs once, in ascending order of that set."""
+    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
+    rows = tris[order]
+    # new[i]: sorted row i starts a run of equal rows (new[-1]: the end)
+    new = np.ones(len(rows) + 1, dtype=bool)
+    new[1:-1] = np.any(rows[1:] != rows[:-1], axis=1)
+    return order[new[:-1] & new[1:]]
 
 
 def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     """(kept, faces) of one slab: the tetrahedra of the Delaunay build of
     jit[sel] with circumradius <= alpha and circumcentre in [lo, hi) along
     `axis` of `local`, as ascending ids into `jit` (int32), and their faces
-    used once among them, oriented (`_outward`).  Only these leave the
-    worker."""
+    used once among them, oriented (`_outward`) and sorted.  Only these
+    leave the worker."""
     if not _spans_3d(jit[sel]):   # no solid tetrahedron
         return np.zeros((0, 4), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
     # `sel` ascends, so sorted slab ids are sorted global ids
@@ -288,7 +292,7 @@ def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     kept = sel[tets[own]].astype(np.int32)
     # row 4t + j is face j of tetrahedron t, ascending, opposite its vertex j
     faces = kept[:, _FACES].reshape(-1, 3)
-    sole = _sole_faces(faces, len(jit))
+    sole = _sole_faces(faces)
     return kept, _outward(jit, faces[sole], kept.reshape(-1)[sole])
 
 
@@ -298,9 +302,6 @@ def _slab_complex(points: np.ndarray, jit: np.ndarray, spacing, alpha: float,
     of `jit`, the jittered lattice points `points`, built in `slabs` slabs on
     a thread pool (module docstring) as (K, 4) ascending int32 ids, and their
     boundary triangles as `_boundary_faces` gives them."""
-    if len(jit) >= 2 ** 21:
-        raise ReconstructionError(f"{len(jit)} shell points exceed the 2**21 - 1 "
-                                  f"that an int64 face key can number")
     axis = int(np.argmax(np.ptp(points, axis=0)))
     origin = points.min(axis=0)
     local = jit - origin
@@ -319,7 +320,7 @@ def _slab_complex(points: np.ndarray, jit: np.ndarray, spacing, alpha: float,
             jobs))
     kept, faces = (np.concatenate(part) for part in zip(*parts))
     # a face between two slabs came once from each side
-    return kept, faces[_sole_faces(np.sort(faces, axis=1), len(jit))]
+    return kept, faces[_sole_faces(np.sort(faces, axis=1))]
 
 
 def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -341,39 +342,57 @@ def _face_components(tris: np.ndarray) -> np.ndarray:
     return comp
 
 
-class _AlphaComplex:
-    """Kept tetrahedra of a point cloud and their boundary (`evaluate`).
+def _check_solid(points: np.ndarray) -> None:
+    if len(points) < 4:
+        raise ReconstructionError(f"need at least 4 points, got {len(points)}")
+    if not _spans_3d(points):
+        raise ReconstructionError(
+            "points are coplanar or collinear; no solid can be built")
 
-    Without `spacing`, or for "auto", one Delaunay build of every point and
-    its circumradii serve every alpha.  With `spacing` and a numeric `alpha`,
-    the cloud's boundary shell at that alpha (`_shell`) is built in `slabs`
-    slabs (`_slab_complex`; by default 3 per CPU, or 1 on one CPU) and only that
-    alpha can be evaluated; vertex ids are then positions in `index`, the
-    kept points.
+
+def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
+             kept: np.ndarray, boundary: np.ndarray):
+    """Boundary of the kept tetrahedra in input point ids, with its face
+    components and their signed volumes, or (None, reason) if it is not a
+    closed manifold enclosing every input point.
+
+    `kept` and `boundary` hold positions in `index`, the triangulated points;
+    `shallow` marks those that must lie in the complex (`_shell`).
     """
+    used = np.zeros(len(index), dtype=bool)
+    used[kept.ravel()] = True
+    outside = int((shallow & ~used).sum())
+    if outside:
+        return None, f"{outside} points left outside the complex"
+    # the wall of the pruned hollow: no shallow vertex
+    tris = index[boundary[shallow[boundary].any(axis=1)]]
+    if len(tris) == 0:
+        return None, "empty boundary"
+    counts = _edge_use_counts(tris)
+    if not np.all(counts == 2):
+        bad = int((counts != 2).sum())
+        return None, f"{bad} edges not shared by exactly 2 triangles"
+    comp = _face_components(tris)
+    vols = np.zeros(comp.max() + 1)
+    np.add.at(vols, comp, _signed_volume_per_face(points, tris))
+    vol_eps = 1e-9 * float(np.linalg.norm(
+        points.max(axis=0) - points.min(axis=0))) ** 3 + 1e-12
+    if np.any(np.abs(vols) <= vol_eps):
+        return None, "degenerate zero-volume boundary component"
+    if not (vols > 0).any():
+        return None, "no positively oriented boundary component"
+    return (tris, comp, vols), None
 
-    def __init__(self, points: np.ndarray, spacing=None, alpha=AUTO,
-                 slabs: int | None = None):
-        if len(points) < 4:
-            raise ReconstructionError(
-                f"need at least 4 points, got {len(points)}")
-        if not _spans_3d(points):
-            raise ReconstructionError(
-                "points are coplanar or collinear; no solid can be built")
+
+class _AlphaComplex:
+    """One Delaunay build of every point and its circumradii, which serve
+    every alpha (`evaluate`): the build for "auto" and raw point arrays."""
+
+    def __init__(self, points: np.ndarray):
+        _check_solid(points)
         self.points = points
-        self.alpha = alpha
-        self._vol_eps = 1e-9 * float(np.linalg.norm(
-            points.max(axis=0) - points.min(axis=0))) ** 3 + 1e-12
-        self.index, self.shallow = _shell(points, spacing, alpha)
-        self.jit = _jittered(points)[self.index]
-        if spacing is not None and alpha != AUTO:
-            if slabs is None:
-                workers = _workers()
-                slabs = 1 if workers == 1 else _SLABS_PER_WORKER * workers
-            self.delaunay = None
-            self.kept, self.boundary = _slab_complex(
-                points[self.index], self.jit, spacing, float(alpha), slabs)
-            return
+        self.index = np.arange(len(points))
+        self.jit = _jittered(points)
         self.delaunay = _delaunay(self.jit)
         self.tets = self.delaunay.simplices
         self.radii = _circumradii(self.jit, self.tets)[0]
@@ -383,42 +402,11 @@ class _AlphaComplex:
         self.candidates = np.unique(finite)
 
     def evaluate(self, alpha: float):
-        """Boundary at `alpha` in input point ids, or (None, reason) if it is
-        not a closed manifold enclosing every input point."""
-        if self.delaunay is None:
-            if alpha != self.alpha:
-                raise ValueError(f"complex was built for alpha={self.alpha}, "
-                                 f"not {alpha}")
-            kept = self.kept
-        else:
-            keep = self.radii <= alpha
-            kept = self.tets[keep]
-        used = np.zeros(len(self.jit), dtype=bool)
-        used[kept.ravel()] = True
-        outside = int((self.shallow & ~used).sum())
-        if outside:
-            return None, f"{outside} points left outside the complex"
-        if self.delaunay is None:
-            tris = self.boundary
-        else:
-            tris = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
-        # the wall of the pruned hollow: no shallow vertex
-        tris = self.index[tris[self.shallow[tris].any(axis=1)]]
-        if len(tris) == 0:
-            return None, "empty boundary"
-        counts = _edge_use_counts(tris)
-        if not np.all(counts == 2):
-            bad = int((counts != 2).sum())
-            return None, f"{bad} edges not shared by exactly 2 triangles"
-        comp = _face_components(tris)
-        vols = np.zeros(comp.max() + 1)
-        np.add.at(vols, comp, _signed_volume_per_face(self.points, tris))
-        if np.any(np.abs(vols) <= self._vol_eps):
-            return None, "degenerate zero-volume boundary component"
-        outer = vols > 0
-        if not outer.any():
-            return None, "no positively oriented boundary component"
-        return (tris, comp, vols), None
+        """`_surface` of the tetrahedra with circumradius <= alpha."""
+        keep = self.radii <= alpha
+        boundary = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
+        return _surface(self.points, self.index, np.ones(len(self.points), dtype=bool),
+                        self.tets[keep], boundary)
 
 
 def build_alpha_shape(points, alpha: float | str = AUTO,
@@ -436,10 +424,10 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
     nearest lattice point outside the cloud).  The result equals the full
     build: surface vertices lie at most alpha + h deep, and a kept
     tetrahedron spans at most 2 alpha (module docstring).  That shell is
-    triangulated in slabs on one thread per CPU of the affinity mask (3 slabs
-    per CPU, or one slab on one CPU); a kept tetrahedron has its circumcentre
-    in exactly one slab, so the result does not depend on the slab count.
-    "auto" and raw point arrays use one build of every point.
+    triangulated in 3 slabs per CPU of the affinity mask, on one thread per
+    CPU; a kept tetrahedron has its circumcentre in exactly one slab, so the
+    result does not depend on the slab count.  "auto" and raw point arrays
+    use one build of every point.
     """
     if alpha != AUTO and not 0 < float(alpha) < np.inf:
         raise ReconstructionError(
@@ -448,12 +436,8 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
         pts, spacing = np.asarray(points.points, dtype=float), points.spacing
     else:
         pts, spacing = np.asarray(points, dtype=float), None
-    return _alpha_shape(_AlphaComplex(pts, spacing, alpha), alpha, source_label)
-
-
-def _alpha_shape(complex_: _AlphaComplex, alpha, source_label) -> TriangleMesh:
-    """`build_alpha_shape` of a built complex."""
     if alpha == AUTO:
+        complex_ = _AlphaComplex(pts)
         cand = complex_.candidates
         lo, hi = 0, len(cand) - 1
         result, reason = complex_.evaluate(cand[hi])
@@ -471,7 +455,15 @@ def _alpha_shape(complex_: _AlphaComplex, alpha, source_label) -> TriangleMesh:
         alpha_used = float(cand[hi])
     else:
         alpha_used = float(alpha)
-        result, reason = complex_.evaluate(alpha_used)
+        if spacing is None:
+            result, reason = _AlphaComplex(pts).evaluate(alpha_used)
+        else:
+            _check_solid(pts)
+            index, shallow = _shell(pts, spacing, alpha_used)
+            jit = _jittered(pts)[index]
+            kept, boundary = _slab_complex(pts[index], jit, spacing, alpha_used,
+                                           _SLABS_PER_WORKER * _workers())
+            result, reason = _surface(pts, index, shallow, kept, boundary)
         if result is None:
             raise ReconstructionError(
                 f"alpha={alpha_used:g} does not yield a closed manifold "
@@ -483,9 +475,9 @@ def _alpha_shape(complex_: _AlphaComplex, alpha, source_label) -> TriangleMesh:
     tris = tris[np.isin(comp, outer)]
 
     used = np.unique(tris)
-    remap = np.zeros(len(complex_.points), dtype=np.int64)
+    remap = np.zeros(len(pts), dtype=np.int64)
     remap[used] = np.arange(len(used))
-    return TriangleMesh(vertices=complex_.points[used].copy(),
+    return TriangleMesh(vertices=pts[used].copy(),
                         triangles=remap[tris],
                         source_label=source_label,
                         alpha_used=alpha_used,

@@ -9,8 +9,9 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.alpha_mesh import (_AlphaComplex, _alpha_shape, _boundary_faces,
-                                 _edge_use_counts, _face_components, _shell)
+from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces, _edge_use_counts,
+                                 _face_components, _jittered, _shell,
+                                 _slab_complex, _surface)
 from spinekit.errors import MeshContractError, ReconstructionError
 
 from conftest import (edge_face_components, euler_characteristic, perfbench_spine,
@@ -236,34 +237,36 @@ def _lattice_cloud(inside: np.ndarray, spacing) -> sk.PointCloud:
     return sk.PointCloud((ijk + 0.5) * np.asarray(spacing), tuple(spacing))
 
 
-def _outcome(build):
+def _outcome(points, alpha):
     try:
-        return build(), None
+        return sk.build_alpha_shape(points, alpha), None
     except ReconstructionError as exc:
         return None, str(exc)
 
 
 def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     """The slab builds of `cloud`'s shell at 1 to 6 slabs equal one full
-    build of its raw points: evaluate's triangles, components, volumes and
-    failure reason, and the returned mesh or error.  Tetrahedra are not
+    build of its raw points: the surface's triangles, components, volumes
+    and failure reason, and the returned mesh or error.  Tetrahedra are not
     compared, as qhull may fill a near-cospherical lattice cube differently
     in a slab.  Returns the number of points the shell leaves out."""
-    kept = len(_shell(cloud.points, cloud.spacing, alpha)[0])
+    index, shallow = _shell(cloud.points, cloud.spacing, alpha)
+    jit = _jittered(cloud.points)[index]
     full = _AlphaComplex(cloud.points)
+    assert len(full.index) == len(cloud)
     f_res, f_why = full.evaluate(alpha)
     for slabs in range(1, 7):
-        shell = _AlphaComplex(cloud.points, cloud.spacing, alpha, slabs)
-        assert len(shell.index) == kept
+        kept, boundary = _slab_complex(cloud.points[index], jit, cloud.spacing,
+                                       alpha, slabs)
         # each kept tetrahedron has exactly one owning slab
-        assert len(np.unique(shell.kept, axis=0)) == len(shell.kept)
-        s_res, s_why = shell.evaluate(alpha)
+        assert len(np.unique(kept, axis=0)) == len(kept)
+        s_res, s_why = _surface(cloud.points, index, shallow, kept, boundary)
         assert s_why == f_why
         if f_res is not None:
             for a, b in zip(s_res, f_res):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    s_mesh, s_err = _outcome(lambda: sk.build_alpha_shape(cloud, alpha))
-    f_mesh, f_err = _outcome(lambda: _alpha_shape(full, alpha, None))
+    s_mesh, s_err = _outcome(cloud, alpha)
+    f_mesh, f_err = _outcome(cloud.points, alpha)
     assert s_err == f_err
     if f_mesh is not None:
         assert np.array_equal(s_mesh.vertices, f_mesh.vertices)
@@ -271,7 +274,7 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
         assert (s_mesh.cavities_discarded, s_mesh.n_components, s_mesh.alpha_used) == (
             f_mesh.cavities_discarded, f_mesh.n_components, f_mesh.alpha_used)
         assert sk.mesh_metrics(s_mesh) == sk.mesh_metrics(f_mesh)
-    return len(cloud) - kept
+    return len(cloud) - len(index)
 
 
 @settings(max_examples=12, deadline=None)
@@ -383,16 +386,23 @@ def test_linalg_error_in_a_slab_propagates_unchanged(sphere_points, monkeypatch)
         sk.build_alpha_shape(sphere_points, sphere_points.voxel_diagonal)
 
 
-def test_slab_build_rejects_more_points_than_a_face_key_holds():
-    # (a * n + b) * n + c must fit in int64; a zero-stride view costs no memory
-    many = np.broadcast_to(np.zeros(3), (2 ** 21, 3))
-    with pytest.raises(ReconstructionError, match="2097152 shell points exceed"):
-        alpha_mesh._slab_complex(many, many, (1.0, 1.0, 1.0), 1.0, 6)
-
-
-def test_slab_complex_evaluates_its_own_alpha_only(sphere_points):
+def test_numeric_alpha_builds_without_an_affinity_mask(sphere_points, monkeypatch):
+    # os.sched_getaffinity exists only on some platforms (not macOS, Windows)
     alpha = sphere_points.voxel_diagonal
-    complex_ = _AlphaComplex(sphere_points.points, sphere_points.spacing, alpha, 3)
-    assert complex_.evaluate(alpha)[0] is not None
-    with pytest.raises(ValueError, match="built for alpha"):
-        complex_.evaluate(2.0 * alpha)
+    expected = sk.build_alpha_shape(sphere_points, alpha)
+    monkeypatch.delattr(alpha_mesh.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(alpha_mesh.os, "cpu_count", lambda: None)
+    assert alpha_mesh._workers() == 1
+    monkeypatch.setattr(alpha_mesh.os, "cpu_count", lambda: 5)
+    assert alpha_mesh._workers() == 5
+    mesh = sk.build_alpha_shape(sphere_points, alpha)
+    assert np.array_equal(mesh.triangles, expected.triangles)
+    assert np.array_equal(mesh.vertices, expected.vertices)
+
+
+def test_sole_faces_count_ids_beyond_an_int64_cube_key():
+    # ids above 2**21: (a * n + b) * n + c would overflow int64
+    big = 2 ** 31 - 4
+    tris = np.array([[5, big, big + 2], [0, 1, big], [5, big, big + 2],
+                     [0, 1, 2], [1, big + 1, big + 3]], dtype=np.int32)
+    assert alpha_mesh._sole_faces(tris).tolist() == [3, 1, 4]
