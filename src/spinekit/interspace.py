@@ -224,8 +224,7 @@ def interspace_voxel_stats(volume: LabeledVolume,
     """
     lo, winding, _ = voxel_winding(volume, interspace.mesh)
     ijk = np.argwhere(winding != 0) + lo
-    labels = volume.labels[ijk[:, 0], ijk[:, 1], ijk[:, 2]]
-    background = labels == 0
+    background = volume.label_at(ijk[:, 0], ijk[:, 1], ijk[:, 2]) == 0
     excluded = int((~background).sum())
     sel = ijk[background]
     if len(sel) == 0:

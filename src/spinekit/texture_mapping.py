@@ -65,7 +65,7 @@ def _external_sources(volume: LabeledVolume, label: int,
             cand = own[rows, None, :] + offsets[None, :, :]      # (C, K, 3)
             c = np.clip(cand, 0, dims - 1)
             hit = np.all(cand == c, axis=2) & (
-                volume.labels[c[..., 0], c[..., 1], c[..., 2]] != label)
+                volume.label_at(c[..., 0], c[..., 1], c[..., 2]) != label)
             first = hit.argmax(axis=1)
             found = hit[np.arange(len(rows)), first]
             src[rows[found]] = cand[found, first[found]]
@@ -92,7 +92,7 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
         raise MappingError(f"unknown mapping criterion {criterion!r}")
     verts = np.asarray(mesh.vertices, dtype=float).reshape(-1, 3)
     src, ok = volume.voxel_indices(verts)
-    ok &= (volume.labels[src[:, 0], src[:, 1], src[:, 2]] == label) & (label > 0)
+    ok &= (volume.label_at(src[:, 0], src[:, 1], src[:, 2]) == label) & (label > 0)
     if not ok.all():
         raise MappingError(
             f"{int((~ok).sum())} mesh vertices are not voxel centroids of label "

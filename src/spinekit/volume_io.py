@@ -6,6 +6,12 @@ list of vertebral-body centroid annotations in continuous voxel coordinates.
 Raw buffers are stored x-fastest / z-slowest.  The centroid of voxel (i,j,k)
 in mm is ((i+0.5)*sx, (j+0.5)*sy, (k+0.5)*sz) with the origin at the volume
 corner; every module in the package relies on this single convention.
+
+`load_volume` maps both buffers read-only instead of copying them, and builds
+the label index by streaming the label file in whole z planes, so a loaded
+volume's HU pages are read only where a stage looks and its label map is never
+read at all: every label lookup goes through the index (`label_voxels`,
+`label_at`).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,6 +28,10 @@ from .errors import DescriptorError, EmptySelectionError
 
 HU_DTYPE = np.dtype("<i2")
 LABEL_DTYPE = np.dtype("<u2")
+
+# label-file bytes per streamed read of the index, rounded down to whole z
+# planes (at least one); bounds the load's transient memory
+_INDEX_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -64,12 +75,45 @@ class PointCloud:
         return float(np.linalg.norm(self.spacing))
 
 
+def _check_grid(dims, spacing) -> None:
+    if any(d <= 0 for d in dims):
+        raise DescriptorError(f"dims must be positive, got {dims}")
+    if any(s <= 0 for s in spacing):
+        raise DescriptorError(f"spacing must be positive, got {spacing}")
+
+
+class _LabelIndex(NamedTuple):
+    lin: np.ndarray                  # ascending linear index of every labeled voxel
+    values: np.ndarray               # the label of each
+    voxels: dict[int, np.ndarray]    # label -> its ascending linear indices
+
+
+def _index_labels(runs) -> _LabelIndex:
+    """Index the labeled voxels of consecutive (start, flat labels) runs that
+    tile the x-fastest label field in order; a run without a label adds
+    nothing.  The one grouping of voxels by label, for every volume."""
+    lin, values = [np.zeros(0, np.intp)], [np.zeros(0, LABEL_DTYPE)]
+    for start, flat in runs:
+        hit = np.flatnonzero(flat)
+        if hit.size:
+            lin.append(hit + start)
+            values.append(flat[hit])
+    lin, values = np.concatenate(lin), np.concatenate(values)
+    order = np.argsort(values, kind="stable")
+    keys, starts = np.unique(values[order], return_index=True)
+    return _LabelIndex(lin, values,
+                       dict(zip(keys.tolist(), np.split(lin[order], starts[1:]))))
+
+
 @dataclass
 class LabeledVolume:
-    """Dense HU + label grid with mm spacing and centroid annotations.
+    """HU and label grids with mm spacing and centroid annotations.
 
-    Arrays are indexed [i, j, k] (x, y, z).  Instances are treated as
-    immutable after construction and are safe for concurrent reads.
+    Arrays are indexed [i, j, k] (x, y, z); a loaded volume's are read-only
+    memory maps of its raw files.  Label queries are answered from one label
+    index (`label_voxels`, `label_at`), never from a scan of `labels`.
+    Instances are treated as immutable after construction and are safe for
+    concurrent reads.
     """
 
     dims: tuple[int, int, int]
@@ -81,10 +125,7 @@ class LabeledVolume:
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
         self.spacing = tuple(float(s) for s in self.spacing)
-        if any(d <= 0 for d in self.dims):
-            raise DescriptorError(f"dims must be positive, got {self.dims}")
-        if any(s <= 0 for s in self.spacing):
-            raise DescriptorError(f"spacing must be positive, got {self.spacing}")
+        _check_grid(self.dims, self.spacing)
         for name, arr in (("hu", self.hu), ("labels", self.labels)):
             if arr.shape != self.dims:
                 raise DescriptorError(
@@ -95,14 +136,26 @@ class LabeledVolume:
         return float(np.linalg.norm(self.spacing))
 
     @cached_property
+    def _label_index(self) -> _LabelIndex:
+        """Built from `labels` on first use, so `labels` is fixed from then on;
+        `load_volume` sets it from the streamed label file instead."""
+        return _index_labels([(0, self.labels.reshape(-1, order="F"))])
+
+    @property
     def label_voxels(self) -> dict[int, np.ndarray]:
         """Each nonzero label's ascending linear indices i + nx*(j + ny*k), by
-        ascending label; built on first use, so `labels` is fixed from then on."""
-        flat = self.labels.reshape(-1, order="F")
-        lin = np.flatnonzero(flat)                 # the one full-volume pass
-        lin = lin[np.argsort(flat[lin], kind="stable")]
-        values, starts = np.unique(flat[lin], return_index=True)
-        return dict(zip(values.tolist(), np.split(lin, starts[1:])))
+        ascending label."""
+        return self._label_index.voxels
+
+    def label_at(self, i, j, k) -> np.ndarray:
+        """Label of each voxel (i, j, k) of in-bounds index arrays (broadcast
+        together), 0 for background."""
+        index = self._label_index
+        lin = np.ravel_multi_index((i, j, k), self.dims, order="F")
+        if not index.lin.size:
+            return np.zeros(np.shape(lin), index.values.dtype)
+        pos = np.minimum(np.searchsorted(index.lin, lin), index.lin.size - 1)
+        return np.where(index.lin[pos] == lin, index.values[pos], 0)
 
     def present_labels(self) -> list[int]:
         """Nonzero labels with at least one voxel, ascending."""
@@ -151,24 +204,49 @@ def extract_label_points(volume: LabeledVolume, label: int) -> PointCloud:
 
 
 def _read_raw(path: Path, dtype: np.dtype, dims) -> np.ndarray:
+    """Read-only memory map of a raw buffer of exactly prod(dims) voxels."""
+    expected = int(np.prod(dims))
     try:
-        buf = np.fromfile(path, dtype=dtype)
+        with open(path, "rb") as fh:
+            size = fh.seek(0, 2)
+            if size == expected * dtype.itemsize:
+                return np.memmap(fh, dtype=dtype, mode="r", shape=dims, order="F")
     except OSError as exc:
         raise DescriptorError(f"cannot read raw file {path}: {exc}") from exc
-    expected = int(np.prod(dims))
-    if buf.size != expected:
-        raise DescriptorError(
-            f"{path} holds {buf.size} voxels, descriptor declares {expected}")
-    return buf.reshape(dims, order="F")
+    raise DescriptorError(
+        f"{path} holds {size} bytes ({size / dtype.itemsize:g} voxels of "
+        f"{dtype.itemsize} bytes), descriptor declares {expected} voxels")
+
+
+def _label_runs(path: Path, dims):
+    """(start, flat labels) runs of whole z planes, read from the label file
+    in turn."""
+    plane = dims[0] * dims[1]
+    step = plane * max(1, _INDEX_CHUNK_BYTES // (plane * LABEL_DTYPE.itemsize))
+    total = plane * dims[2]
+    try:
+        with open(path, "rb") as fh:
+            for start in range(0, total, step):
+                count = min(step, total - start)
+                flat = np.fromfile(fh, dtype=LABEL_DTYPE, count=count)
+                if flat.size != count:
+                    raise DescriptorError(f"{path} shrank while it was read")
+                yield start, flat
+    except OSError as exc:
+        raise DescriptorError(f"cannot read raw file {path}: {exc}") from exc
 
 
 def load_volume(descriptor_path) -> LabeledVolume:
     """Load a LabeledVolume from a JSON descriptor.
 
     Descriptor keys: dims, spacing_mm, hu_file, label_file, centroid_file.
-    File paths are resolved relative to the descriptor location.  Centroid
-    annotations whose label has no voxels do not fail the load; the volume's
-    `orphan_centroids` derives them from the labels (warning level).
+    File paths are resolved relative to the descriptor location.  Each raw
+    file must hold exactly prod(dims) voxels; `hu` and `labels` are read-only
+    memory maps of them, so truncating a file while the volume is in use
+    kills the process with SIGBUS.  The label index is built here, from the
+    label file read in whole z planes.  Centroid annotations whose label has
+    no voxels do not fail the load; the volume's `orphan_centroids` derives
+    them from the labels (warning level).
     """
     descriptor_path = Path(descriptor_path)
     try:
@@ -186,6 +264,7 @@ def load_volume(descriptor_path) -> LabeledVolume:
         raise DescriptorError(f"descriptor {descriptor_path} is malformed: {exc}") from exc
     if len(dims) != 3 or len(spacing) != 3:
         raise DescriptorError("dims and spacing_mm must have 3 entries")
+    _check_grid(dims, spacing)
 
     base = descriptor_path.parent
     hu = _read_raw(base / hu_file, HU_DTYPE, dims)
@@ -213,8 +292,10 @@ def load_volume(descriptor_path) -> LabeledVolume:
                                       f"3 coordinates inside volume {dims}")
             centroids[lab] = CentroidAnnotation.from_voxel(lab, vox, spacing)
 
-    return LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
-                         centroids=centroids)
+    volume = LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
+                           centroids=centroids)
+    volume._label_index = _index_labels(_label_runs(base / label_file, dims))
+    return volume
 
 
 def write_volume(volume: LabeledVolume, out_dir, stem: str = "volume") -> Path:

@@ -1,12 +1,15 @@
 """volume descriptor IO, label extraction and their invariants."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import spinekit as sk
+from spinekit import report_cli, volume_io
 from spinekit.errors import DescriptorError, EmptySelectionError
 from spinekit.report_cli import PipelineConfig, run_pipeline
 from spinekit.volume_io import HU_DTYPE, LABEL_DTYPE, CentroidAnnotation
@@ -39,6 +42,43 @@ def test_size_mismatch_error(tmp_path):
     path.write_text(json.dumps(desc))
     with pytest.raises(DescriptorError, match="999"):
         sk.load_volume(path)
+
+
+def _raw_descriptor(tmp_path, dims, spacing=(1, 1, 1)):
+    path = tmp_path / "volume.json"
+    path.write_text(json.dumps({"dims": list(dims), "spacing_mm": list(spacing),
+                                "hu_file": "hu.raw", "label_file": "lab.raw"}))
+    return path
+
+
+def test_trailing_odd_byte_error(tmp_path):
+    # 13 bytes are 6 int16 voxels and one stray byte, not a 6-voxel volume
+    (tmp_path / "hu.raw").write_bytes(bytes(13))
+    np.zeros(6, dtype=LABEL_DTYPE).tofile(tmp_path / "lab.raw")
+    with pytest.raises(DescriptorError, match="13 bytes"):
+        sk.load_volume(_raw_descriptor(tmp_path, (6, 1, 1)))
+
+
+def test_grid_checked_before_raw_files(tmp_path):
+    for name in ("hu.raw", "lab.raw"):
+        (tmp_path / name).write_bytes(b"")
+    with pytest.raises(DescriptorError, match="dims must be positive"):
+        sk.load_volume(_raw_descriptor(tmp_path, (0, 4, 4)))
+    with pytest.raises(DescriptorError, match="spacing must be positive"):
+        sk.load_volume(_raw_descriptor(tmp_path, (1, 1, 1), spacing=(1, 0, 1)))
+
+
+def test_missing_raw_file_error(tmp_path):
+    np.zeros(8, dtype=HU_DTYPE).tofile(tmp_path / "hu.raw")
+    with pytest.raises(DescriptorError, match="lab.raw"):
+        sk.load_volume(_raw_descriptor(tmp_path, (2, 2, 2)))
+
+
+def test_raw_path_is_directory_error(tmp_path):
+    (tmp_path / "hu.raw").mkdir()
+    np.zeros(8, dtype=LABEL_DTYPE).tofile(tmp_path / "lab.raw")
+    with pytest.raises(DescriptorError, match="hu.raw"):
+        sk.load_volume(_raw_descriptor(tmp_path, (2, 2, 2)))
 
 
 def test_descriptor_parse_failure(tmp_path):
@@ -177,10 +217,17 @@ def test_one_label_scan_per_volume(tmp_path, monkeypatch):
     (tmp_path / "v" / "volume_centroids.json").write_text(json.dumps(
         [{"label": 2, "voxel": [1.5, 1.5, 1.5]}, {"label": 5, "voxel": [2.5, 2.5, 2.5]}]))
     sizes = {"unique": [], "flatnonzero": []}
+    scanned = []
     for name in sizes:
         original = getattr(np, name)
         monkeypatch.setattr(np, name, lambda a, *args, _f=original, _n=name, **kw:
-                            sizes[_n].append(np.size(a)) or _f(a, *args, **kw))
+                            sizes[_n].append(np.size(a)) or scanned.append(a)
+                            or _f(a, *args, **kw))
+    reads = []   # (file name, first voxel, voxel count) of each label-file read
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda fh, *args, **kw: reads.append(
+        (Path(fh.name).name, fh.tell() // LABEL_DTYPE.itemsize, kw["count"]))
+        or fromfile(fh, *args, **kw))
     loaded = sk.load_volume(desc)
     assert loaded.present_labels() == [2, 7]
     loaded.present_labels().append(9)   # callers get a copy
@@ -190,6 +237,14 @@ def test_one_label_scan_per_volume(tmp_path, monkeypatch):
     full = loaded.labels.size
     assert sizes["flatnonzero"].count(full) == 1
     assert full not in sizes["unique"]
+    # the streamed reads tile the label file exactly once, in order
+    assert {name for name, _, _ in reads} == {"volume_labels.raw"}
+    starts = [start for _, start, _ in reads]
+    ends = [start + count for _, start, count in reads]
+    assert starts == [0] + ends[:-1] and ends[-1] == full
+    # and no scan touched the mapped label field
+    assert not any(np.shares_memory(a, loaded.labels) for a in scanned
+                   if isinstance(a, np.ndarray))
 
 
 def test_voxel_box_covers_centroids_in_box():
@@ -246,3 +301,77 @@ def test_label_index_matches_scan_on_phantoms(disc_pair, compound):
         for lab in vol.present_labels():
             assert np.array_equal(sk.extract_label_points(vol, lab).points,
                                   label_points_reference(vol, lab))
+
+
+def _same_index(a, b) -> bool:
+    return (list(a.label_voxels) == list(b.label_voxels)
+            and all(np.array_equal(a.label_voxels[lab], b.label_voxels[lab])
+                    for lab in a.label_voxels))
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one_plane", "whole"])
+@settings(max_examples=100, deadline=None)
+@given(labels=_label_fields())
+def test_streamed_index_matches_in_memory(chunk_bytes, labels):
+    vol = sk.LabeledVolume(dims=labels.shape, spacing=(0.8, 0.8, 1.25),
+                           hu=np.zeros(labels.shape, dtype=np.int16), labels=labels)
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(volume_io, "_INDEX_CHUNK_BYTES", chunk_bytes)
+        loaded = sk.load_volume(sk.write_volume(vol, tmp))
+        assert _same_index(loaded, vol)
+
+
+@settings(max_examples=100, deadline=None)
+@given(labels=_label_fields())
+@example(labels=np.full((3, 1, 2), 65535, dtype=np.uint16))
+@example(labels=np.zeros((2, 3, 1), dtype=np.uint16))
+def test_label_at_matches_dense_labels(labels):
+    vol = sk.LabeledVolume(dims=labels.shape, spacing=(1.0, 1.0, 1.0),
+                           hu=np.zeros(labels.shape, dtype=np.int16), labels=labels)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = sk.load_volume(sk.write_volume(vol, tmp))
+        for v in (vol, loaded):
+            assert np.array_equal(v.label_at(*np.indices(labels.shape)), labels)
+
+
+class _Unreadable:
+    """Stands in for a label field that no stage may read."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"labels.{name} was read")
+
+    def __getitem__(self, key):
+        raise AssertionError("labels were indexed")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("labels were converted to an array")
+
+    def __iter__(self):
+        raise AssertionError("labels were iterated")
+
+    def __len__(self):
+        raise AssertionError("labels were measured")
+
+
+def test_pipeline_never_reads_loaded_labels(tmp_path, monkeypatch, disc_pair):
+    cfg = PipelineConfig(input_path=sk.write_volume(disc_pair[0], tmp_path / "in"),
+                         out_dir=tmp_path / "out")
+    normal = run_pipeline(cfg).to_json_dict()
+
+    def guarded_load(path):
+        volume = sk.load_volume(path)
+        volume.labels = _Unreadable()
+        return volume
+
+    monkeypatch.setattr(report_cli, "load_volume", guarded_load)
+    guarded = run_pipeline(cfg).to_json_dict()
+    assert guarded == normal
+    assert normal["pairs"] and len(normal["vertebrae"]) == 2
+
+
+def test_loaded_arrays_are_read_only(tmp_path, sphere_volume):
+    loaded = sk.load_volume(sk.write_volume(sphere_volume, tmp_path))
+    with pytest.raises(ValueError):
+        loaded.hu[0, 0, 0] = 1
+    with pytest.raises(ValueError):
+        loaded.labels[0, 0, 0] = 1
