@@ -92,7 +92,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import MeshContractError, ReconstructionError
-from .volume_io import PointCloud
+from .volume_io import PointCloud, mm_to_index
 
 _JITTER_SEED = 0x5EB8A
 _JITTER_REL = 1e-6
@@ -179,8 +179,8 @@ def _shell(points: np.ndarray, spacing, alpha):
     # imported here: "auto" and raw-array builds never need it
     from scipy.ndimage import distance_transform_edt
 
-    ijk = np.rint(points / spacing - 0.5).astype(np.int64)
-    if not np.array_equal((ijk + 0.5) * spacing, points):
+    ijk, ok = mm_to_index(points, spacing)
+    if not ok.all():
         raise ReconstructionError("point cloud is not a set of voxel centroids "
                                   "of its spacing")
     lo = ijk.min(axis=0) - 1

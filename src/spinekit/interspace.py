@@ -2,9 +2,10 @@
 
 Facing vertices are the images of the vertex-to-vertex nearest-neighbor maps
 between the two meshes, restricted to each vertebral body (distance below
-the first density threshold).  The alpha shape of the combined cloud is the
-interspace surface; interior HU statistics come from background voxels whose
-centroids fall strictly inside it.
+the first density threshold), searched on voxel indices by the search of
+external texture, `spatial.nearest_canonical`.  The alpha shape of the
+combined cloud is the interspace surface; interior HU statistics come from
+background voxels whose centroids fall strictly inside it.
 
 Containment is exact.  The surface's vertices are voxel centroids, like the
 centroids tested, so both are taken as integer voxel indices: inside, outside
@@ -29,21 +30,31 @@ from .alpha_mesh import AUTO, TriangleMesh, build_alpha_shape, mesh_metrics
 from .errors import ExtractionError, MeshContractError, ReconstructionError
 from .region_segmentation import DistanceSamples, Thresholds
 from .spatial import nearest_canonical
-from .volume_io import LabeledVolume, centroid_mm
+from .volume_io import LabeledVolume, centroid_mm, mm_to_index
 
 
-def facing_vertices(a: TriangleMesh,
-                    b: TriangleMesh) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_voxels(mesh: TriangleMesh, spacing, dims=None) -> np.ndarray:
+    """`mm_to_index` of the vertices; MeshContractError unless it finds them
+    all."""
+    ijk, ok = mm_to_index(mesh.vertices, spacing, dims)
+    if not ok.all():
+        raise MeshContractError(
+            f"{int((~ok).sum())} mesh vertices are not voxel centroids, e.g. "
+            f"{np.asarray(mesh.vertices)[np.argmin(ok)].tolist()}")
+    return ijk
+
+
+def facing_vertices(a: TriangleMesh, b: TriangleMesh,
+                    spacing) -> tuple[np.ndarray, np.ndarray]:
     """Vertex indices on each mesh that are nearest neighbors of the other.
 
     FacingSet(a) is the image of the NN map from b's vertices into a, and
-    symmetrically; both are sorted unique index arrays.
+    symmetrically; both are sorted unique index arrays.  Raises
+    MeshContractError unless every vertex is a voxel centroid of `spacing`.
     """
-    va = np.asarray(a.vertices, dtype=float)
-    vb = np.asarray(b.vertices, dtype=float)
-    idx_a, _ = nearest_canonical(va, vb)
-    idx_b, _ = nearest_canonical(vb, va)
-    return np.unique(idx_a), np.unique(idx_b)
+    ia, ib = _vertex_voxels(a, spacing), _vertex_voxels(b, spacing)
+    return (np.unique(nearest_canonical(ia, ib, spacing)),
+            np.unique(nearest_canonical(ib, ia, spacing)))
 
 
 def filter_body(facing: np.ndarray, samples: DistanceSamples,
@@ -200,11 +211,7 @@ def voxel_winding(volume: LabeledVolume,
     to the highest vertex index on each axis); winding is 0 where on is
     True.  Raises MeshContractError when a vertex is not a voxel centroid.
     """
-    ijk, ok = volume.voxel_indices(mesh.vertices)
-    if not ok.all():
-        raise MeshContractError(
-            f"{int((~ok).sum())} mesh vertices are not voxel centroids, e.g. "
-            f"{np.asarray(mesh.vertices)[np.argmin(ok)].tolist()}")
+    ijk = _vertex_voxels(mesh, volume.spacing, volume.dims)
     lo = ijk.min(axis=0)
     shape = tuple(ijk.max(axis=0) - lo + 1)
     corners = (ijk - lo)[np.asarray(mesh.triangles, dtype=np.int64)]

@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import logging
+import numbers
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -59,6 +60,11 @@ PAIRS_CSV_COLUMNS = (
     "interspace_hu_mean", "interspace_hu_sum", "interspace_voxels", "flags")
 
 
+def _positive(value) -> bool:
+    """Whether `value` is a finite positive real number."""
+    return isinstance(value, numbers.Real) and 0 < value < np.inf  # NaN fails
+
+
 @dataclass
 class PipelineConfig:
     """Knobs for one pipeline run.
@@ -66,7 +72,8 @@ class PipelineConfig:
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
     diagonal.  `criteria` names each mapping criterion at most once.
     `pairs` overrides the consecutive-label pairing; each pair joins two
-    different labels, both at least 1.
+    different integer labels, both at least 1.  Any other value raises
+    SpineKitError.
     """
 
     input_path: str | Path
@@ -86,15 +93,15 @@ class PipelineConfig:
         if len(set(self.criteria)) < len(self.criteria):
             raise SpineKitError(
                 f"criteria must not repeat, got {list(self.criteria)}")
-        # NaN fails both comparisons, so `not 0 < x < inf` also rejects it
-        if (self.alpha is not None and self.alpha != AUTO
-                and not 0 < float(self.alpha) < np.inf):
+        if self.alpha not in (None, AUTO) and not _positive(self.alpha):
             raise SpineKitError(
                 f"alpha must be finite and positive or 'auto', got {self.alpha}")
-        if self.bandwidth is not None and not 0 < float(self.bandwidth) < np.inf:
+        if self.bandwidth is not None and not _positive(self.bandwidth):
             raise SpineKitError(
                 f"bandwidth must be finite and positive, got {self.bandwidth}")
-        bad = [tuple(p) for p in self.pairs or () if p[0] == p[1] or min(p) < 1]
+        bad = [p for p in self.pairs or ()
+               if not (isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
+                       and all(isinstance(x, numbers.Integral) and x >= 1 for x in p))]
         if bad:
             raise SpineKitError(
                 f"pairs must join two different labels of at least 1, got {bad}")
@@ -286,7 +293,7 @@ def _process_pair(volume, lo, hi, arts, warnings):
               f"pair ({lo},{hi}) skipped: thresholds unavailable",
               label_lo=int(lo), label_hi=int(hi))
         return None, None
-    fa, fb = facing_vertices(alo.mesh, ahi.mesh)
+    fa, fb = facing_vertices(alo.mesh, ahi.mesh, volume.spacing)
     fa = filter_body(fa, alo.samples, alo.thresholds)
     fb = filter_body(fb, ahi.samples, ahi.thresholds)
     if len(fa) == 0 or len(fb) == 0:

@@ -1,8 +1,8 @@
-"""Exact nearest-neighbor queries with deterministic tie-breaking.
+"""The one nearest-voxel search, for external texture and facing vertices.
 
-scipy's kd-tree is exact but breaks distance ties arbitrarily; on
-grid-aligned data exact ties are common, so `interspace.facing_vertices`
-queries through `nearest_canonical`, which resolves ties to the lowest index.
+Distance is exact on integer voxel indices, sum((d * spacing)**2) over the
+offset d, and ties go to the lowest data row; a kd-tree on the mm positions
+only proposes candidates, so tree layout and mm rounding never decide.
 """
 
 from __future__ import annotations
@@ -10,33 +10,35 @@ from __future__ import annotations
 import numpy as np
 from scipy.spatial import cKDTree
 
+_FIRST_K = 4  # candidates per query in the first round; doubled for the rest
 
-def nearest_canonical(data: np.ndarray, queries: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Index of the nearest data point for each query point.
 
-    Exact squared-distance ties resolve to the lowest data index, making
-    results independent of tree layout.  Returns (indices, distances).
+def nearest_canonical(data: np.ndarray, queries: np.ndarray,
+                      spacing) -> np.ndarray:
+    """Row of the nearest of the (N, 3) voxel indices `data` to each of the
+    (Q, 3) `queries`, lowest row among exact ties.
+
+    Each query takes its k nearest rows from the tree; it is settled once
+    its k-th lies beyond the best exact distance times (1 + 1e-9), or k
+    covers every row, and the rest are asked again with k doubled.  Float
+    points with unit spacing get plain Euclidean nearest neighbours.
     """
-    data = np.asarray(data, dtype=float)
-    queries = np.atleast_2d(np.asarray(queries, dtype=float))
+    data = np.asarray(data)
+    queries = np.atleast_2d(np.asarray(queries))
+    spacing = np.asarray(spacing, dtype=float)
     if len(data) == 0:
         raise ValueError("empty candidate set")
-    if len(data) == 1:
-        idx = np.zeros(len(queries), dtype=np.int64)
-        return idx, np.linalg.norm(queries - data[0], axis=1)
-
-    tree = cKDTree(data)
-    dist2, idx2 = tree.query(queries, k=2)
-    dist = dist2[:, 0].copy()
-    idx = idx2[:, 0].astype(np.int64)
-    radius = dist * (1.0 + 1e-9) + 1e-12
-    ambiguous = np.nonzero(dist2[:, 1] <= radius)[0]
-    for qi in ambiguous:
-        cand = tree.query_ball_point(queries[qi], radius[qi])
-        cand = np.asarray(cand, dtype=np.int64)
-        d2 = ((data[cand] - queries[qi]) ** 2).sum(axis=1)
-        best = d2.min()
-        idx[qi] = cand[d2 == best].min()
-        dist[qi] = np.sqrt(best)
-    return idx, dist
+    tree = cKDTree(data * spacing)
+    rows = np.empty(len(queries), dtype=np.int64)
+    todo = np.arange(len(queries))
+    k = min(_FIRST_K, len(data))
+    while todo.size:
+        dist, cand = tree.query(queries[todo] * spacing, k=range(1, k + 1))
+        d2 = (((data[cand] - queries[todo, None]) * spacing) ** 2).sum(axis=-1)
+        best = d2.min(axis=1)
+        rows[todo] = np.where(d2 == best[:, None], cand, len(data)).min(axis=1)
+        if k == len(data):
+            break
+        todo = todo[dist[:, -1] <= np.sqrt(best) * (1.0 + 1e-9)]
+        k = min(2 * k, len(data))
+    return rows

@@ -75,6 +75,19 @@ class PointCloud:
         return float(np.linalg.norm(self.spacing))
 
 
+def mm_to_index(mm, spacing, dims=None) -> tuple[np.ndarray, np.ndarray]:
+    """Voxel index of each (N, 3) mm point and a mask of the points that are
+    exactly that voxel's centroid, inside a volume of `dims` if given; the
+    index is (0, 0, 0) where the mask is False."""
+    mm = np.asarray(mm, dtype=float).reshape(-1, 3)
+    spacing = np.asarray(spacing, dtype=float)
+    near = np.rint(mm / spacing - 0.5)
+    # without dims, the bounds keep NaN, inf and absurd values out of the cast
+    lo, hi = (-2 ** 31, 2 ** 31) if dims is None else (0, np.asarray(dims))
+    ok = np.all((near >= lo) & (near < hi) & ((near + 0.5) * spacing == mm), axis=1)
+    return np.where(ok[:, None], near, 0).astype(np.int64), ok
+
+
 def _check_grid(dims, spacing) -> None:
     if any(d <= 0 for d in dims):
         raise DescriptorError(f"dims must be positive, got {dims}")
@@ -169,17 +182,6 @@ class LabeledVolume:
     def voxel_centroids_mm(self, ijk: np.ndarray) -> np.ndarray:
         """Centroid positions in mm for an (N, 3) array of voxel indices."""
         return (np.asarray(ijk, dtype=float) + 0.5) * np.asarray(self.spacing)
-
-    def voxel_indices(self, mm) -> tuple[np.ndarray, np.ndarray]:
-        """Voxel index of each (N, 3) mm point and a mask of the points that
-        are exactly the centroid of a voxel inside the volume; the index is
-        (0, 0, 0) where the mask is False."""
-        mm = np.asarray(mm, dtype=float).reshape(-1, 3)
-        near = np.rint(mm / np.asarray(self.spacing) - 0.5)
-        ok = np.all((near >= 0) & (near < np.asarray(self.dims)), axis=1)
-        ijk = np.where(ok[:, None], near, 0).astype(np.int64)
-        ok &= np.all(self.voxel_centroids_mm(ijk) == mm, axis=1)
-        return ijk, ok
 
     def voxel_box(self, lo_mm, hi_mm) -> tuple[np.ndarray, np.ndarray]:
         """Per-axis index ranges [lo, hi) of the voxels whose centroids can lie

@@ -189,12 +189,21 @@ def lattice_source_oracle(volume: sk.LabeledVolume, label: int, vertices,
             "euclidean": np.ones(sub.shape, dtype=bool)}[criterion]
     # rows of a (z, y, x) argwhere ascend in linear index i + nx*(j + ny*k)
     cand = np.argwhere(keep.transpose(2, 1, 0))[:, ::-1] + lo
-    out = np.empty_like(own)
-    chunk = max(1, 200_000 // len(cand))  # small blocks stay in cache
-    for start in range(0, len(own), chunk):
-        d = cand[None, :, :] - own[start:start + chunk, None, :]
+    return cand[lattice_nearest_oracle(cand, own, s)]
+
+
+def lattice_nearest_oracle(data, queries, spacing) -> np.ndarray:
+    """Row of the nearest of the (N, 3) integer voxel indices `data` to each
+    (Q, 3) integer query: squared distance sum((d*s)**2) over the integer
+    offset d, ties to the lowest row."""
+    data, queries = np.asarray(data), np.asarray(queries)
+    s = np.asarray(spacing, dtype=float)
+    out = np.empty(len(queries), dtype=np.int64)
+    chunk = max(1, 200_000 // len(data))  # small blocks stay in cache
+    for start in range(0, len(queries), chunk):
+        d = data[None, :, :] - queries[start:start + chunk, None, :]
         d2 = ((d * s) ** 2).sum(axis=-1)
-        out[start:start + chunk] = cand[np.argmin(d2, axis=1)]  # first min
+        out[start:start + chunk] = np.argmin(d2, axis=1)  # first min
     return out
 
 
@@ -411,7 +420,7 @@ def disc_interspace(gap: float) -> dict:
         curve = sk.estimate_density(samples[label],
                                     min_bandwidth=volume.voxel_diagonal / 2.0)
         thresholds[label] = sk.degraded_thresholds(curve)
-    fa, fb = sk.facing_vertices(meshes[1], meshes[2])
+    fa, fb = sk.facing_vertices(meshes[1], meshes[2], volume.spacing)
     fa = sk.filter_body(fa, samples[1], thresholds[1])
     fb = sk.filter_body(fb, samples[2], thresholds[2])
     imesh = sk.build_interspace(meshes[1], meshes[2], fa, fb,

@@ -94,7 +94,7 @@ def test_criterion_2_spatial_index_exactness():
     for _ in range(5):
         data = rng.uniform(0.0, 200.0, (1000, 3))
         queries = rng.uniform(0.0, 200.0, (1000, 3))
-        idx, _ = nearest_canonical(data, queries)
+        idx = nearest_canonical(data, queries, (1.0, 1.0, 1.0))
         mismatches += int((idx != brute_force_nearest(data, queries)).sum())
     _criterion(2, "kd-tree nearest neighbors equal brute force on 5x1000 clouds", [
         ("zero mismatches", mismatches == 0),
@@ -161,7 +161,8 @@ def test_criterion_6_interspace(disc_interspace_4):
     volumes = [disc_interspace(g)["interspace"].volume for g in (2.0, 4.0, 8.0)]
 
     meshes = disc_interspace_4["meshes"]
-    fa, fb = sk.facing_vertices(meshes[1], meshes[2])
+    fa, fb = sk.facing_vertices(meshes[1], meshes[2],
+                                disc_interspace_4["volume"].spacing)
     oracle_a = np.unique(brute_force_nearest(meshes[1].vertices, meshes[2].vertices))
     oracle_b = np.unique(brute_force_nearest(meshes[2].vertices, meshes[1].vertices))
     print(f"    measured: volume={imesh.volume:.1f} mm^3 vs {truth.gap_volume:.1f} "

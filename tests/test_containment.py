@@ -247,7 +247,7 @@ def _anisotropic_disc_interspace():
         curve = sk.estimate_density(samples[label],
                                     min_bandwidth=volume.voxel_diagonal / 2.0)
         thresholds[label] = sk.degraded_thresholds(curve)
-    fa, fb = sk.facing_vertices(meshes[1], meshes[2])
+    fa, fb = sk.facing_vertices(meshes[1], meshes[2], volume.spacing)
     fa = sk.filter_body(fa, samples[1], thresholds[1])
     fb = sk.filter_body(fb, samples[2], thresholds[2])
     return volume, sk.build_interspace(meshes[1], meshes[2], fa, fb)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spinekit as sk
-from spinekit.errors import ExtractionError
+from spinekit.errors import ExtractionError, MeshContractError
 from spinekit.spatial import nearest_canonical
 
 from conftest import brute_force_nearest, disc_interspace
@@ -15,26 +15,29 @@ def _stub_mesh(vertices):
                            triangles=np.zeros((0, 3), dtype=int))
 
 
+UNIT = (1.0, 1.0, 1.0)
+
+
 def test_single_vertex_meshes():
-    a = _stub_mesh([[0.0, 0.0, 0.0]])
-    b = _stub_mesh([[5.0, 0.0, 0.0]])
-    fa, fb = sk.facing_vertices(a, b)
+    a = _stub_mesh([[0.5, 0.5, 0.5]])
+    b = _stub_mesh([[5.5, 0.5, 0.5]])
+    fa, fb = sk.facing_vertices(a, b, UNIT)
     assert fa.tolist() == [0]
     assert fb.tolist() == [0]
 
 
 def test_parallel_grids_full_sets():
     xs, ys = np.meshgrid(np.arange(10.0), np.arange(10.0), indexing="ij")
-    lower = np.stack([xs.ravel(), ys.ravel(), np.zeros(100)], axis=1)
+    lower = np.stack([xs.ravel(), ys.ravel(), np.zeros(100)], axis=1) + 0.5
     upper = lower + np.array([0.0, 0.0, 4.0])
-    fa, fb = sk.facing_vertices(_stub_mesh(lower), _stub_mesh(upper))
+    fa, fb = sk.facing_vertices(_stub_mesh(lower), _stub_mesh(upper), UNIT)
     assert len(fa) == 100 and len(fb) == 100
 
 
 def test_facing_keeps_far_vertices():
-    a = _stub_mesh([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
-    b = _stub_mesh([[0.0, 0.0, 2.0], [10.0, 0.0, 7.0]])
-    fa, fb = sk.facing_vertices(a, b)
+    a = _stub_mesh([[0.5, 0.5, 0.5], [10.5, 0.5, 0.5]])
+    b = _stub_mesh([[0.5, 0.5, 2.5], [10.5, 0.5, 7.5]])
+    fa, fb = sk.facing_vertices(a, b, UNIT)
     assert fa.tolist() == [0, 1]
     assert fb.tolist() == [0, 1]
 
@@ -42,11 +45,22 @@ def test_facing_keeps_far_vertices():
 def test_facing_sets_match_brute_force(disc_interspace_4):
     meshes = disc_interspace_4["meshes"]
     va, vb = meshes[1].vertices, meshes[2].vertices
-    fa, fb = sk.facing_vertices(meshes[1], meshes[2])
+    fa, fb = sk.facing_vertices(meshes[1], meshes[2],
+                                disc_interspace_4["volume"].spacing)
     oracle_a = np.unique(brute_force_nearest(va, vb))
     oracle_b = np.unique(brute_force_nearest(vb, va))
     np.testing.assert_array_equal(fa, oracle_a)
     np.testing.assert_array_equal(fb, oracle_b)
+
+
+def test_facing_rejects_a_vertex_off_the_centroids():
+    a = _stub_mesh([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]])
+    for vertex in ([0.5, 0.5, 2.0], [np.nan, 0.5, 0.5]):
+        b = _stub_mesh([[0.5, 0.5, 3.5], vertex])
+        with pytest.raises(MeshContractError, match="not voxel centroids"):
+            sk.facing_vertices(a, b, UNIT)
+        with pytest.raises(MeshContractError, match="not voxel centroids"):
+            sk.facing_vertices(b, a, UNIT)
 
 
 def test_kdtree_exactness_random_clouds():
@@ -54,7 +68,7 @@ def test_kdtree_exactness_random_clouds():
     for _ in range(5):
         data = rng.uniform(0, 100, (1000, 3))
         queries = rng.uniform(0, 100, (1000, 3))
-        idx, _ = nearest_canonical(data, queries)
+        idx = nearest_canonical(data, queries, UNIT)
         np.testing.assert_array_equal(idx, brute_force_nearest(data, queries))
 
 
@@ -74,7 +88,7 @@ def test_filter_body_matches_set_intersection(compound, compound_mesh,
     # compound phantom facing a translated copy of itself
     samples, _, th, _ = compound_segmentation
     copy = _stub_mesh(compound_mesh.vertices + np.array([0.0, 120.0, 0.0]))
-    fa, _ = sk.facing_vertices(compound_mesh, copy)
+    fa, _ = sk.facing_vertices(compound_mesh, copy, compound[0].spacing)
     kept = sk.filter_body(fa, samples, th)
     oracle = np.asarray(sorted(set(fa.tolist())
                                & set(np.nonzero(samples.values < th.t1)[0].tolist())))

@@ -407,6 +407,16 @@ def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field, value", [
+    ("alpha", "abc"), ("alpha", [1.0]), ("bandwidth", "x"), ("bandwidth", "0.7"),
+    ("bandwidth", object()),
+    ("pairs", [(1,)]), ("pairs", [(1, 2, 3)]), ("pairs", [(1.5, 2)]),
+    ("pairs", [("1", "2")]), ("pairs", [5])])
+def test_config_rejects_malformed_values(tmp_path, field, value):
+    with pytest.raises(sk.SpineKitError, match=field):
+        PipelineConfig(input_path=tmp_path, out_dir=tmp_path, **{field: value})
+
+
 def test_config_rejects_repeated_criterion(tmp_path):
     for bad in (("internal", "internal"), ("external", "euclidean", "external")):
         with pytest.raises(sk.SpineKitError, match="criteria must not repeat"):

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 import spinekit as sk
 from spinekit.errors import MappingError
 
-from conftest import brute_force_nearest, lattice_source_oracle
+from conftest import (brute_force_nearest, lattice_nearest_oracle,
+                      lattice_source_oracle)
 
 CRITERIA = ("internal", "euclidean", "external")
 SPACINGS = ((1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.5, 1.0, 2.0))
@@ -132,11 +133,15 @@ def test_source_voxels_match_lattice_oracle(phantom_meshes, phantom, criterion):
     np.testing.assert_array_equal(tex.hu, volume.hu[tuple(oracle.T)])
 
 
+def _centroid_mesh(ijk, spacing):
+    """Vertex-only mesh on the centroids of the voxels `ijk`."""
+    return sk.TriangleMesh(vertices=(np.asarray(ijk) + 0.5) * np.asarray(spacing),
+                           triangles=np.zeros((0, 3), dtype=int))
+
+
 def _voxel_mesh(volume, label):
     """Vertex-only mesh on every voxel centroid of `label`."""
-    ijk = np.argwhere(volume.labels == label)
-    return sk.TriangleMesh(vertices=volume.voxel_centroids_mm(ijk),
-                           triangles=np.zeros((0, 3), dtype=int))
+    return _centroid_mesh(np.argwhere(volume.labels == label), volume.spacing)
 
 
 def _volume(labels, spacing=(1.0, 1.0, 1.0)):
@@ -168,17 +173,36 @@ def test_mapping_matches_lattice_oracle_on_random_fields(shape, spacing, fill, s
 
 
 @pytest.mark.parametrize("spacing", SPACINGS)
-def test_external_stencil_grows_to_a_distant_voxel(spacing):
+def test_external_reaches_one_distant_voxel_from_every_voxel(spacing):
+    # every voxel of a label that fills the volume but one: the nearest voxel
+    # without the label lies up to 14 voxels away on an axis
     labels = np.ones((15, 15, 15), dtype=np.uint16)
     labels[12, 3, 9] = 0
     volume = _volume(labels, spacing)
-    own = [[0, 0, 0], [14, 14, 14], [0, 14, 0], [7, 7, 7], [12, 3, 8], [11, 4, 9]]
-    mesh = sk.TriangleMesh(vertices=volume.voxel_centroids_mm(own),
-                           triangles=np.zeros((0, 3), dtype=int))
+    mesh = _voxel_mesh(volume, 1)
     tex = sk.map_grey(mesh, volume, 1, "external")
+    assert len(tex.source_voxel) == 15 ** 3 - 1
     assert np.all(tex.source_voxel == [12, 3, 9])
     np.testing.assert_array_equal(
         tex.source_voxel, lattice_source_oracle(volume, 1, mesh.vertices, "external"))
+
+
+@pytest.mark.parametrize("spacing", SPACINGS)
+def test_facing_vertices_match_lattice_oracle(spacing):
+    # small random lattice clouds are full of distance ties; on anisotropic
+    # spacings mm coordinates round them apart, integer offsets do not
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        cells = rng.permutation(7 ** 3)[:rng.integers(2, 60)]
+        ijk = np.stack(np.unravel_index(cells, (7, 7, 7)), axis=1)
+        half = rng.integers(1, len(ijk))
+        a, b = ijk[:half], ijk[half:]
+        fa, fb = sk.facing_vertices(_centroid_mesh(a, spacing),
+                                    _centroid_mesh(b, spacing), spacing)
+        np.testing.assert_array_equal(
+            fa, np.unique(lattice_nearest_oracle(a, b, spacing)))
+        np.testing.assert_array_equal(
+            fb, np.unique(lattice_nearest_oracle(b, a, spacing)))
 
 
 def test_external_fails_cleanly_when_label_fills_volume():
