@@ -17,6 +17,7 @@ import json
 import logging
 import numbers
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,6 +66,14 @@ def _positive(value) -> bool:
     return isinstance(value, numbers.Real) and 0 < value < np.inf  # NaN fails
 
 
+def _listed(value, name: str) -> tuple:
+    """A list-valued config field as a tuple; a string or a value that is not
+    iterable raises SpineKitError."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise SpineKitError(f"{name} must be a list, got {value!r}")
+    return tuple(value)
+
+
 @dataclass
 class PipelineConfig:
     """Knobs for one pipeline run.
@@ -72,8 +81,8 @@ class PipelineConfig:
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
     diagonal.  `criteria` names each mapping criterion at most once.
     `pairs` overrides the consecutive-label pairing; each pair joins two
-    different integer labels, both at least 1.  Any other value raises
-    SpineKitError.
+    different integer labels, both at least 1.  Both lists are stored as
+    tuples.  Any other value raises SpineKitError.
     """
 
     input_path: str | Path
@@ -81,10 +90,13 @@ class PipelineConfig:
     alpha: float | str | None = None
     criteria: tuple[str, ...] = ALL_CRITERIA
     bandwidth: float | None = None
-    pairs: list[tuple[int, int]] | None = None
+    pairs: tuple[tuple[int, int], ...] | None = None
     subject: str = ""
 
     def __post_init__(self):
+        self.criteria = _listed(self.criteria, "criteria")
+        if self.pairs is not None:
+            self.pairs = _listed(self.pairs, "pairs")
         if not self.criteria:
             raise SpineKitError("criteria subset must be non-empty")
         bad = [c for c in self.criteria if c not in ALL_CRITERIA]

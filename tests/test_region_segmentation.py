@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 import spinekit as sk
 from spinekit.errors import DegenerateDistributionError, ThresholdFailureError
+from spinekit import region_segmentation
 from spinekit.region_segmentation import _CELL_BUDGET, _SAMPLE_CHUNK
 
 from conftest import (density_inflections_reference, density_modes_reference,
@@ -114,9 +115,9 @@ def test_density_grid_and_normalization(compound, compound_mesh):
     samples = sk.distance_distribution(compound_mesh, volume.centroids[1])
     curve = sk.estimate_density(samples)
     assert len(curve.grid) == 4096
-    assert curve.values.shape == (3, 4096)
+    assert curve.signs.shape == (2, 4096)
     assert curve.grid[-1] >= 1.05 * samples.values.max()
-    integral = np.trapezoid(curve.values[0], curve.grid)
+    integral = np.trapezoid(curve.kernel(curve.grid)[0], curve.grid)
     assert 0.99 <= integral <= 1.01
 
 
@@ -125,7 +126,7 @@ def test_kde_normalization_on_synthetic_inputs():
     for values in (rng.normal(20, 2, 5000),
                    _mix_samples(rng, 5000, [0.5, 0.5], [15, 30], [1, 1])):
         curve = sk.estimate_density(_as_samples(np.abs(values)))
-        integral = np.trapezoid(curve.values[0], curve.grid)
+        integral = np.trapezoid(curve.kernel(curve.grid)[0], curve.grid)
         assert 0.99 <= integral <= 1.01
 
 
@@ -182,6 +183,13 @@ def _assert_critical_points_match(curve, rows):
     assert np.array_equal(desc, ref_desc)
 
 
+def _assert_grid_pass_matches(curve, rows):
+    """The curve's stored signs and pdf peak equal those of the full rows."""
+    assert np.array_equal(curve.signs, np.sign(rows[1:]))
+    assert curve.peak == rows[0].max()
+    assert curve.peak_index == int(np.argmax(rows[0]))
+
+
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2 ** 32 - 1),
        n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
@@ -213,8 +221,10 @@ def test_critical_points_equal_per_order_passes(seed, n, quantum, bandwidth):
     assume(np.std(values) > 0)
     curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth)
     rows = kernel_rows_reference(curve)
+    full = curve.kernel(curve.grid)
     for order in range(3):
-        assert np.array_equal(curve.values[order], rows[order])
+        assert np.array_equal(full[order], rows[order])
+    _assert_grid_pass_matches(curve, rows)
     _assert_critical_points_match(curve, rows)
 
 
@@ -223,10 +233,8 @@ def test_critical_points_equal_per_order_passes_on_compound(compound_segmentatio
     _assert_critical_points_match(curve, kernel_rows_reference(curve))
 
 
-def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):
-    # the thresholds and their fallback read the curve's stored grid values;
-    # the kernel is called again only for brentq and for the roots
-    samples = compound_segmentation[0]
+def _record_kernel_calls(monkeypatch) -> list[int]:
+    """The number of abscissae of every later `DensityCurve.kernel` call."""
     lengths = []
     kernel = sk.DensityCurve.kernel
 
@@ -235,10 +243,70 @@ def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):
         return kernel(self, x)
 
     monkeypatch.setattr(sk.DensityCurve, "kernel", recording_kernel)
+    return lengths
+
+
+def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):
+    # the grid pass evaluates the full kernel only on the rows it cannot
+    # certify, and the thresholds and their fallback read the stored signs
+    # and peak; the kernel is called again only for brentq and for the roots
+    samples = compound_segmentation[0]
+    lengths = _record_kernel_calls(monkeypatch)
     curve = sk.estimate_density(samples)
     sk.find_thresholds(curve)
     sk.degraded_thresholds(curve)
-    assert [n for n in lengths if n >= len(curve.grid)] == [len(curve.grid)]
+    assert lengths and max(lengths) < len(curve.grid)
+
+
+# ------------------------------------------ certified grid pass vs full rows
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
+       quantum=st.sampled_from((0.0, 0.5)),
+       bandwidth=st.one_of(st.none(), st.floats(0.05, 3.0)))
+def test_grid_pass_signs_and_peak_equal_full_rows(seed, n, quantum, bandwidth):
+    # tiny bandwidths leave rows with empty cut windows, between the samples
+    # and on both tails, where every term may underflow to zero
+    values = _seeded_distances(seed, n, quantum)
+    assume(np.std(values) > 0)
+    curve = sk.estimate_density(_as_samples(values), bandwidth=bandwidth)
+    _assert_grid_pass_matches(curve, kernel_rows_reference(curve))
+
+
+def _symmetric_clusters_curve() -> sk.DensityCurve:
+    """Two clusters of sample pairs x0 -/+ a, dyadic throughout, 48 mm apart
+    on a dyadic grid: at each x0 the pairs' d1 terms cancel exactly in sample
+    order, and the other cluster's terms underflow to zero, so the full pass
+    reads d1 == 0 there.  Towards the grid's ends the nearest term becomes
+    subnormal, then vanishes after normalisation, then underflows itself."""
+    offsets = np.random.default_rng(5).integers(1, 25, 40) / 8.0
+    samples = np.concatenate([np.column_stack([x0 - offsets, x0 + offsets]).ravel()
+                              for x0 in (48.0, 96.0)])
+    return sk.DensityCurve(grid=np.arange(4608) / 32.0, bandwidth=1.0,
+                           samples=samples)
+
+
+@pytest.mark.parametrize("cut", [region_segmentation._CUT, 30.0])
+def test_grid_pass_keeps_exact_zeros(monkeypatch, cut):
+    # at a cut of 30 the dropped tail is negligible and the rounding term
+    # alone must send the exact zeros to the full kernel
+    monkeypatch.setattr(region_segmentation, "_CUT", cut)
+    curve = _symmetric_clusters_curve()
+    rows = kernel_rows_reference(curve)
+    centers = np.searchsorted(curve.grid, [48.0, 96.0])
+    assert np.all(rows[1][centers] == 0)
+    assert np.all(rows[1][:64] == 0) and np.all(rows[1][-64:] == 0)
+    _assert_grid_pass_matches(curve, rows)
+
+
+def test_grid_pass_with_a_short_cut_recomputes_most_rows(monkeypatch):
+    monkeypatch.setattr(region_segmentation, "_CUT", 1.0)
+    lengths = _record_kernel_calls(monkeypatch)
+    values = _seeded_distances(3, 2000, 0.0)
+    curve = sk.estimate_density(_as_samples(values))
+    assert lengths[0] > len(curve.grid) // 2
+    _assert_grid_pass_matches(curve, kernel_rows_reference(curve))
 
 
 # ---------------------------------------------------------------- thresholds

@@ -411,7 +411,8 @@ def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     ("alpha", "abc"), ("alpha", [1.0]), ("bandwidth", "x"), ("bandwidth", "0.7"),
     ("bandwidth", object()),
     ("pairs", [(1,)]), ("pairs", [(1, 2, 3)]), ("pairs", [(1.5, 2)]),
-    ("pairs", [("1", "2")]), ("pairs", [5])])
+    ("pairs", [("1", "2")]), ("pairs", [5]), ("pairs", 5), ("criteria", 5),
+    ("criteria", "internal")])
 def test_config_rejects_malformed_values(tmp_path, field, value):
     with pytest.raises(sk.SpineKitError, match=field):
         PipelineConfig(input_path=tmp_path, out_dir=tmp_path, **{field: value})
