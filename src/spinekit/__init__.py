@@ -5,8 +5,8 @@ from .errors import (DegenerateDistributionError, DescriptorError,
                      EmptySelectionError, ExtractionError, MappingError,
                      MeshContractError, PhantomSpecError, ReconstructionError,
                      RoiTooSmallError, SpineKitError, ThresholdFailureError)
-from .interspace import (InterspaceMesh, InterspaceVoxelStats, build_interspace,
-                         facing_vertices, filter_body, interspace_voxel_stats)
+from .interspace import (InterspaceVoxelStats, build_interspace, facing_vertices,
+                         filter_body, interspace_voxel_stats)
 from .phantom import (CompoundTruth, DiscPairTruth, make_compound_vertebra,
                       make_disc_pair, make_sphere_phantom, phantom_from_spec)
 from .region_segmentation import (DensityCurve, DistanceSamples, Region,

@@ -36,10 +36,11 @@ For alpha > h (plus a jitter margin, see `_shell`):
   "points left outside" check needs only the shallower points.
 
 The jitter is drawn on the full cloud and each triangle is written from its
-smallest vertex index, so the result equals the full build.  The full build
-is the case where no point is deep: `alpha="auto"` (its binary search
-depends on the candidate radii, which the shell changes), raw point arrays
-(no lattice) and alpha within the jitter margin of h.
+smallest vertex index, so the result equals the full build.  The shell keeps
+every point when alpha is within the jitter margin of h.  `alpha="auto"`
+(its binary search depends on the candidate radii, which the shell changes)
+and raw point arrays (no lattice) take no shell: `_AlphaComplex` builds them
+from every point.
 
 The shell of a `PointCloud` with a numeric alpha is then triangulated slab by
 slab on a thread pool (DeWall, Cignoni, Montani & Scopigno 1998; qhull
@@ -108,7 +109,6 @@ class TriangleMesh:
 
     vertices: np.ndarray          # (V, 3) float64
     triangles: np.ndarray         # (T, 3) int, outward-oriented
-    source_label: int | None = None
     alpha_used: float = float("nan")
     cavities_discarded: int = 0   # interior boundary components dropped
     n_components: int = 1         # outer boundary components kept
@@ -160,13 +160,10 @@ def _shell(points: np.ndarray, spacing, alpha):
     of those among them shallower than S = alpha + 2h (module docstring).
 
     Depth is a point's mm distance to the nearest lattice point outside the
-    cloud.  Every point is kept and shallow when there is no lattice
-    (`spacing` None), for "auto", and when alpha is within the jitter margin
-    of h.
+    cloud.  Every point is kept and shallow when alpha is within the jitter
+    margin of h.  Only a numeric alpha on a `PointCloud` comes here; "auto"
+    and raw point arrays are built whole by `_AlphaComplex`.
     """
-    full = np.arange(len(points)), np.ones(len(points), dtype=bool)
-    if spacing is None or alpha == AUTO:
-        return full
     spacing = np.asarray(spacing, dtype=float)
     h = 0.5 * float(np.linalg.norm(spacing))
     delta = np.sqrt(3.0) * _jitter_amplitude(points)
@@ -175,7 +172,7 @@ def _shell(points: np.ndarray, spacing, alpha):
     # matrix has determinant >= the cell volume); twice that covers the rest.
     margin = 2.0 * delta * (1.0 + 12.0 * np.sqrt(3.0) * h ** 3 / np.prod(spacing))
     if alpha <= h + margin:
-        return full
+        return np.arange(len(points)), np.ones(len(points), dtype=bool)
     # imported here: "auto" and raw-array builds never need it
     from scipy.ndimage import distance_transform_edt
 
@@ -409,15 +406,19 @@ class _AlphaComplex:
                         self.tets[keep], boundary)
 
 
-def build_alpha_shape(points, alpha: float | str = AUTO,
-                      source_label: int | None = None) -> TriangleMesh:
+def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     """Reconstruct the closed external surface of a point cloud.
 
-    `alpha` is a finite positive radius in mm, or "auto" to pick the smallest
-    critical value (binary search over the sorted tetrahedron circumradii)
-    whose boundary is a closed manifold enclosing all input points.  Interior
-    boundary components (cavities) are discarded and counted on the returned
-    mesh.
+    `alpha` is a finite positive radius in mm, or "auto".  "auto" binary
+    searches the sorted tetrahedron circumradii for one whose boundary is a
+    closed manifold enclosing all input points, and returns a circumradius
+    that passes while the next smaller one fails (or the smallest one).  The
+    search assumes that passing is monotone in alpha, which it is not, so a
+    smaller circumradius can also pass: on seed 1 of the `stack_auto`
+    benchmark spine it returns 4.44 and 6.36 mm for two vertebrae where
+    0.866 mm passes (ROADMAP item 1).
+    Interior boundary components (cavities) are discarded and counted on the
+    returned mesh.
 
     A `PointCloud` with a numeric alpha above half its voxel diagonal h is
     triangulated only where it is at most 3 alpha + 2h deep (mm to the
@@ -479,7 +480,6 @@ def build_alpha_shape(points, alpha: float | str = AUTO,
     remap[used] = np.arange(len(used))
     return TriangleMesh(vertices=pts[used].copy(),
                         triangles=remap[tris],
-                        source_label=source_label,
                         alpha_used=alpha_used,
                         cavities_discarded=cavities,
                         n_components=len(outer))

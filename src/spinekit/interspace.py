@@ -26,11 +26,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alpha_mesh import AUTO, TriangleMesh, build_alpha_shape, mesh_metrics
+from .alpha_mesh import AUTO, TriangleMesh, build_alpha_shape
 from .errors import ExtractionError, MeshContractError, ReconstructionError
 from .region_segmentation import DistanceSamples, Thresholds
 from .spatial import nearest_canonical
-from .volume_io import LabeledVolume, centroid_mm, mm_to_index
+from .volume_io import LabeledVolume, mm_to_index
 
 
 def _vertex_voxels(mesh: TriangleMesh, spacing, dims=None) -> np.ndarray:
@@ -64,22 +64,8 @@ def filter_body(facing: np.ndarray, samples: DistanceSamples,
     return facing[samples.values[facing] < thresholds.t1]
 
 
-@dataclass
-class InterspaceMesh:
-    """Closed surface of one intervertebral space."""
-
-    mesh: TriangleMesh
-    label_lo: int | None
-    label_hi: int | None
-    volume: float                     # mm^3
-    centroid_distance: float | None   # mm, between the two body centroids
-
-
 def build_interspace(a: TriangleMesh, b: TriangleMesh,
-                     fa: np.ndarray, fb: np.ndarray,
-                     centroid_a=None, centroid_b=None,
-                     labels: tuple[int | None, int | None] = (None, None),
-                     ) -> InterspaceMesh:
+                     fa: np.ndarray, fb: np.ndarray) -> TriangleMesh:
     """Alpha shape (auto alpha) over the union of the filtered facing clouds."""
     fa = np.asarray(fa, dtype=np.int64)
     fb = np.asarray(fb, dtype=np.int64)
@@ -90,16 +76,9 @@ def build_interspace(a: TriangleMesh, b: TriangleMesh,
     # canonical point order makes the result independent of argument order
     cloud = cloud[np.lexsort((cloud[:, 2], cloud[:, 1], cloud[:, 0]))]
     try:
-        mesh = build_alpha_shape(cloud, alpha=AUTO)
+        return build_alpha_shape(cloud, alpha=AUTO)
     except ReconstructionError as exc:
         raise ExtractionError(f"interspace reconstruction failed: {exc}") from exc
-    vol = mesh_metrics(mesh).volume
-
-    dist = None
-    if centroid_a is not None and centroid_b is not None:
-        dist = float(np.linalg.norm(centroid_mm(centroid_a) - centroid_mm(centroid_b)))
-    return InterspaceMesh(mesh=mesh, label_lo=labels[0], label_hi=labels[1],
-                          volume=vol, centroid_distance=dist)
 
 
 @dataclass(frozen=True)
@@ -223,13 +202,13 @@ def voxel_winding(volume: LabeledVolume,
 
 
 def interspace_voxel_stats(volume: LabeledVolume,
-                           interspace: InterspaceMesh) -> InterspaceVoxelStats:
+                           mesh: TriangleMesh) -> InterspaceVoxelStats:
     """Mean/sum HU of background voxels strictly inside the interspace mesh:
     nonzero winding number and not on the surface (see `voxel_winding`).
 
     Voxels carrying any vertebra label are excluded and counted separately.
     """
-    lo, winding, _ = voxel_winding(volume, interspace.mesh)
+    lo, winding, _ = voxel_winding(volume, mesh)
     ijk = np.argwhere(winding != 0) + lo
     background = volume.label_at(ijk[:, 0], ijk[:, 1], ijk[:, 2]) == 0
     excluded = int((~background).sum())

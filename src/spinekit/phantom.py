@@ -9,23 +9,47 @@ are exactly predictable.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PhantomSpecError
-from .volume_io import CentroidAnnotation, LabeledVolume
+from .volume_io import MAX_LABEL, CentroidAnnotation, LabeledVolume, is_positive_real
 
 REGION_BODY = 1
 REGION_ARCH = 2
 REGION_PROCESS = 3
 
 
-def _validate_spacing(spacing):
-    spacing = tuple(float(s) for s in spacing)
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise PhantomSpecError(f"spacing must be 3 positive reals, got {spacing}")
-    return spacing
+def _positive(value, name: str) -> None:
+    """PhantomSpecError unless `value` is a finite real above 0."""
+    if not is_positive_real(value):
+        raise PhantomSpecError(f"{name} must be a finite positive number, got {value!r}")
+
+
+def _integer(value, name: str, lo: int, hi: int) -> None:
+    """PhantomSpecError unless `value` is an integer in [lo, hi]."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
+            and lo <= value <= hi):
+        raise PhantomSpecError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
+
+
+def _validate(spacing, labels, hu_in, hu_out):
+    """Spacing as 3 floats, after checking it, the labels (1..MAX_LABEL, as
+    `load_volume` reads them) and both HU values (int16)."""
+    try:
+        spacing = tuple(spacing)
+    except TypeError:
+        spacing = (spacing,)
+    if len(spacing) != 3 or not all(is_positive_real(s) for s in spacing):
+        raise PhantomSpecError(
+            f"spacing must be 3 finite positive numbers, got {spacing!r}")
+    for label in labels:
+        _integer(label, "label", 1, MAX_LABEL)
+    for hu in (hu_in, hu_out):
+        _integer(hu, "HU", np.iinfo(np.int16).min, np.iinfo(np.int16).max)
+    return tuple(float(s) for s in spacing)
 
 
 def _centroid_grid(dims, spacing):
@@ -52,11 +76,8 @@ def make_sphere_phantom(radius: float, spacing, hu_in: int, hu_out: int,
     A voxel is labeled iff its centroid lies within `radius` (closed ball) of
     the center; the centroid annotation is the exact center.
     """
-    spacing = _validate_spacing(spacing)
-    if radius <= 0:
-        raise PhantomSpecError(f"sphere radius must be positive, got {radius}")
-    if label <= 0:
-        raise PhantomSpecError(f"label must be positive, got {label}")
+    spacing = _validate(spacing, (label,), hu_in, hu_out)
+    _positive(radius, "sphere radius")
     # odd dims put the center exactly on the middle voxel's centroid
     half = [int(np.ceil(radius / s)) + 2 for s in spacing]
     dims = tuple(2 * h + 1 for h in half)
@@ -90,7 +111,6 @@ def make_compound_vertebra(body_radius: float, arch_tube_radius: float,
                            process_len: float, spacing, label: int,
                            arch_distance: float | None = None,
                            process_distance: float | None = None,
-                           process_radius: float | None = None,
                            hu_in: int = 100, hu_out: int = 0,
                            ) -> tuple[LabeledVolume, CompoundTruth]:
     """Three-part phantom whose surface-vertex distances form three disjoint bands.
@@ -99,28 +119,28 @@ def make_compound_vertebra(body_radius: float, arch_tube_radius: float,
       body     -- ball of radius `body_radius`
       arch     -- half-torus at ring distance `arch_distance`, tube radius
                   `arch_tube_radius`, on the +x side
-      processes-- two capsules along +/-y whose distance band is
-                  [process_distance - process_len, process_distance]
+      processes-- two capsules of radius process_len / 2 along +/-y whose
+                  distance band is [process_distance - process_len,
+                  process_distance]
 
     Defaults place the bands at body_radius / body_radius+10 / body_radius+25
     (15/25/40 for the canonical body_radius=15).  The bands must be separated
     by at least 3 voxels so the density modes stay distinguishable.
     """
-    spacing = _validate_spacing(spacing)
+    spacing = _validate(spacing, (label,), hu_in, hu_out)
     smax = max(spacing)
+    _positive(body_radius, "body radius")
+    _positive(arch_tube_radius, "arch tube radius")
+    _positive(process_len, "process length")
     if body_radius <= arch_tube_radius:
         raise PhantomSpecError("body radius must exceed the arch tube radius")
-    if process_len <= 0:
-        raise PhantomSpecError(f"process length must be positive, got {process_len}")
-    if label <= 0:
-        raise PhantomSpecError(f"label must be positive, got {label}")
     if arch_distance is None:
         arch_distance = body_radius + 10.0
+    _positive(arch_distance, "arch distance")
     if process_distance is None:
         process_distance = arch_distance + 15.0
-    if process_radius is None:
-        process_radius = process_len / 2.0
-    process_radius = min(process_radius, process_len / 2.0)
+    _positive(process_distance, "process distance")
+    process_radius = process_len / 2.0
 
     if arch_distance - body_radius < 3.0 * smax:
         raise PhantomSpecError(
@@ -199,18 +219,19 @@ def make_disc_pair(disc_radius: float, thickness: float, gap: float, spacing,
     height exactly `gap` (for gaps that are integer multiples of the z
     spacing).  Background voxels, including the gap, take `hu_out`.
     """
-    spacing = _validate_spacing(spacing)
-    if gap <= 0:
-        raise PhantomSpecError(f"gap must be positive, got {gap}")
+    try:
+        la, lb = labels
+    except (TypeError, ValueError):
+        raise PhantomSpecError(f"a disc pair needs 2 labels, got {labels!r}") from None
+    spacing = _validate(spacing, (la, lb), hu_in, hu_out)
+    for value, name in ((disc_radius, "disc radius"), (thickness, "thickness"),
+                        (gap, "gap")):
+        _positive(value, name)
     if gap <= max(spacing):
         raise PhantomSpecError(f"gap {gap} must exceed the voxel size {max(spacing)}")
-    if disc_radius <= 0 or thickness <= 0:
-        raise PhantomSpecError("disc radius and thickness must be positive")
-    la, lb = (int(v) for v in labels)
+    la, lb = int(la), int(lb)
     if la == lb:
         raise PhantomSpecError("the two discs need distinct labels")
-    if la <= 0 or lb <= 0:
-        raise PhantomSpecError("labels must be positive")
 
     sx, sy, sz = spacing
     nxy = 2 * (int(np.ceil(disc_radius / min(sx, sy))) + 3) + 1
@@ -250,29 +271,36 @@ def make_disc_pair(disc_radius: float, thickness: float, gap: float, spacing,
 
 
 def phantom_from_spec(spec: dict) -> LabeledVolume:
-    """Build a phantom volume from a JSON-style spec dict (CLI entry point)."""
-    try:
-        kind = spec["kind"]
-        spacing = spec["spacing_mm"]
-    except (KeyError, TypeError) as exc:
-        raise PhantomSpecError(f"phantom spec missing required key: {exc}") from exc
-    hu_in = int(spec.get("hu_inside", 100))
-    hu_out = int(spec.get("hu_outside", 0))
+    """Build a phantom volume from a JSON-style spec dict (CLI entry point).
+
+    A missing key, or a number of the wrong type or range (NaN, a string, a
+    fractional label), raises PhantomSpecError.
+    """
+    def need(key):
+        if key not in spec:
+            raise PhantomSpecError(f"phantom spec missing required key {key!r}")
+        return spec[key]
+
+    if not isinstance(spec, dict):
+        raise PhantomSpecError(f"phantom spec must be an object, got {spec!r}")
+    kind, spacing = need("kind"), need("spacing_mm")
+    hu_in = spec.get("hu_inside", 100)
+    hu_out = spec.get("hu_outside", 0)
 
     if kind == "sphere":
-        return make_sphere_phantom(spec["radius_mm"], spacing, hu_in, hu_out,
-                                   int(spec.get("label", 1)))
+        return make_sphere_phantom(need("radius_mm"), spacing, hu_in, hu_out,
+                                   spec.get("label", 1))
     if kind == "compound_vertebra":
         volume, _ = make_compound_vertebra(
-            spec["body_radius_mm"], spec.get("arch_tube_radius_mm", 2.5),
-            spec.get("process_length_mm", 4.0), spacing, int(spec.get("label", 1)),
+            need("body_radius_mm"), spec.get("arch_tube_radius_mm", 2.5),
+            spec.get("process_length_mm", 4.0), spacing, spec.get("label", 1),
             arch_distance=spec.get("arch_distance_mm"),
             process_distance=spec.get("process_distance_mm"),
             hu_in=hu_in, hu_out=hu_out)
         return volume
     if kind == "disc_pair":
         volume, _ = make_disc_pair(
-            spec["disc_radius_mm"], spec["thickness_mm"], spec["gap_mm"],
+            need("disc_radius_mm"), need("thickness_mm"), need("gap_mm"),
             spacing, spec.get("labels", [1, 2]), hu_in=hu_in, hu_out=hu_out)
         return volume
     raise PhantomSpecError(f"unknown phantom kind {kind!r}")

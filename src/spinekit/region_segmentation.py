@@ -84,7 +84,6 @@ class DistanceSamples:
     """Per-vertex distance to the body centroid, mm."""
 
     values: np.ndarray            # (V,) float64, >= 0
-    centroid: np.ndarray          # (3,) mm
     centroid_in_bbox: bool = True
 
 
@@ -101,7 +100,7 @@ def distance_distribution(mesh, centroid) -> DistanceSamples:
     values = np.linalg.norm(verts - c, axis=1)
     lo, hi = verts.min(axis=0), verts.max(axis=0)
     in_bbox = bool(np.all(c >= lo) and np.all(c <= hi))
-    return DistanceSamples(values=values, centroid=c, centroid_in_bbox=in_bbox)
+    return DistanceSamples(values=values, centroid_in_bbox=in_bbox)
 
 
 def silverman_bandwidth(values: np.ndarray) -> float:
@@ -374,7 +373,6 @@ class RegionLabeling:
     """Functional region per mesh vertex."""
 
     regions: np.ndarray           # (V,) int8 of Region values
-    thresholds: Thresholds
 
     def mask(self, region: Region) -> np.ndarray:
         return self.regions == int(region)
@@ -392,4 +390,4 @@ def classify_vertices(samples: DistanceSamples, thresholds: Thresholds) -> Regio
     regions = np.full(len(d), int(Region.PROCESS), dtype=np.int8)
     regions[d < thresholds.t2] = int(Region.ARCH)
     regions[d < thresholds.t1] = int(Region.BODY)
-    return RegionLabeling(regions=regions, thresholds=thresholds)
+    return RegionLabeling(regions=regions)

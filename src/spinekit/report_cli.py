@@ -36,14 +36,14 @@ from .region_segmentation import (Region, classify_vertices,
                                   estimate_density, find_thresholds)
 from .roi_analysis import max_inscribed_radius, roi_stats
 from .texture_mapping import CRITERIA, map_grey, region_mean_hu
-from .volume_io import extract_label_points, load_volume, write_volume
+from .volume_io import (extract_label_points, is_positive_real, load_volume,
+                        write_volume)
 
 logger = logging.getLogger("spinekit")
 
 TOOL_NAME = "spinekit"
 TOOL_VERSION = "0.1.0"
 
-ALL_CRITERIA = CRITERIA
 _REGION_COLORS = {
     int(Region.BODY): (255, 0, 0),
     int(Region.ARCH): (0, 0, 255),
@@ -59,11 +59,6 @@ VERTEBRAE_CSV_COLUMNS = (
 PAIRS_CSV_COLUMNS = (
     "label_lo", "label_hi", "centroid_dist_mm", "interspace_volume_mm3",
     "interspace_hu_mean", "interspace_hu_sum", "interspace_voxels", "flags")
-
-
-def _positive(value) -> bool:
-    """Whether `value` is a finite positive real number."""
-    return isinstance(value, numbers.Real) and 0 < value < np.inf  # NaN fails
 
 
 def _listed(value, name: str) -> tuple:
@@ -88,7 +83,7 @@ class PipelineConfig:
     input_path: str | Path
     out_dir: str | Path
     alpha: float | str | None = None
-    criteria: tuple[str, ...] = ALL_CRITERIA
+    criteria: tuple[str, ...] = CRITERIA
     bandwidth: float | None = None
     pairs: tuple[tuple[int, int], ...] | None = None
     subject: str = ""
@@ -99,16 +94,16 @@ class PipelineConfig:
             self.pairs = _listed(self.pairs, "pairs")
         if not self.criteria:
             raise SpineKitError("criteria subset must be non-empty")
-        bad = [c for c in self.criteria if c not in ALL_CRITERIA]
+        bad = [c for c in self.criteria if c not in CRITERIA]
         if bad:
             raise SpineKitError(f"unknown mapping criteria: {bad}")
         if len(set(self.criteria)) < len(self.criteria):
             raise SpineKitError(
                 f"criteria must not repeat, got {list(self.criteria)}")
-        if self.alpha not in (None, AUTO) and not _positive(self.alpha):
+        if self.alpha not in (None, AUTO) and not is_positive_real(self.alpha):
             raise SpineKitError(
                 f"alpha must be finite and positive or 'auto', got {self.alpha}")
-        if self.bandwidth is not None and not _positive(self.bandwidth):
+        if self.bandwidth is not None and not is_positive_real(self.bandwidth):
             raise SpineKitError(
                 f"bandwidth must be finite and positive, got {self.bandwidth}")
         bad = [p for p in self.pairs or ()
@@ -137,7 +132,6 @@ class PipelineConfig:
 @dataclass
 class _VertebraArtifacts:
     mesh: object
-    annotation: object = None
     samples: object = None
     thresholds: object = None
     labeling: object = None
@@ -190,8 +184,7 @@ def _process_vertebra(volume, label, cfg, warnings):
     flags = rec["flags"]
 
     points = extract_label_points(volume, label)
-    mesh = build_alpha_shape(points, alpha=_resolve_alpha(cfg.alpha, points),
-                             source_label=label)
+    mesh = build_alpha_shape(points, alpha=_resolve_alpha(cfg.alpha, points))
     if mesh.cavities_discarded:
         flags.append("interior_components_discarded")
     met = mesh_metrics(mesh)
@@ -207,7 +200,6 @@ def _process_vertebra(volume, label, cfg, warnings):
               f"label {label} has no centroid annotation; segmentation, "
               f"texture and ROI skipped", label=int(label))
         return rec, art
-    art.annotation = ann
 
     samples = distance_distribution(mesh, ann)
     art.samples = samples
@@ -314,27 +306,26 @@ def _process_pair(volume, lo, hi, arts, warnings):
               label_lo=int(lo), label_hi=int(hi))
         return None, None
     try:
-        imesh = build_interspace(alo.mesh, ahi.mesh, fa, fb,
-                                 centroid_a=alo.annotation,
-                                 centroid_b=ahi.annotation, labels=(lo, hi))
+        mesh = build_interspace(alo.mesh, ahi.mesh, fa, fb)
     except ExtractionError as exc:
         _warn(warnings, "interspace_failed", f"pair ({lo},{hi}): {exc}",
               label_lo=int(lo), label_hi=int(hi))
         return None, None
-    stats = interspace_voxel_stats(volume, imesh)
+    stats = interspace_voxel_stats(volume, mesh)
     flags = []
     if stats.excluded_count:
         flags.append("labeled_voxels_excluded")
     rec = {
         "label_lo": int(lo), "label_hi": int(hi),
-        "centroid_dist_mm": imesh.centroid_distance,
-        "volume_mm3": imesh.volume,
+        "centroid_dist_mm": float(np.linalg.norm(
+            volume.centroids[lo].mm - volume.centroids[hi].mm)),
+        "volume_mm3": mesh_metrics(mesh).volume,
         "hu_mean": stats.hu_mean, "hu_sum": stats.hu_sum,
         "voxel_count": stats.voxel_count,
         "excluded_count": stats.excluded_count,
         "flags": flags,
     }
-    return rec, imesh
+    return rec, mesh
 
 
 def run_pipeline(cfg: PipelineConfig) -> SpineReport:
@@ -363,10 +354,10 @@ def run_pipeline(cfg: PipelineConfig) -> SpineReport:
     pair_records: list[dict] = []
     pair_meshes: dict[tuple[int, int], object] = {}
     for lo, hi in _derive_pairs(labels, cfg, warnings):
-        rec, imesh = _process_pair(volume, lo, hi, arts, warnings)
+        rec, mesh = _process_pair(volume, lo, hi, arts, warnings)
         if rec is not None:
             pair_records.append(rec)
-            pair_meshes[(lo, hi)] = imesh
+            pair_meshes[(lo, hi)] = mesh
 
     semantic = cfg.semantic()
     config_hash = hashlib.sha256(
@@ -391,7 +382,7 @@ def _vertebra_csv_row(rec: dict) -> list[str]:
            rec["t1_mm"], rec["t2_mm"], rec["t3_mm"]]
     hu = rec.get("region_hu") or {}
     for region in ("body", "arch", "process"):
-        for crit in ALL_CRITERIA:
+        for crit in CRITERIA:
             row.append((hu.get(crit) or {}).get(region))
     roi = rec.get("roi") or {}
     row += [roi.get("radius_mm"), roi.get("voxel_count"),
@@ -458,11 +449,11 @@ def _emit_outputs(report: SpineReport, cfg: PipelineConfig, files: list[Path]):
     pair_meshes = report.artifacts.get("pairs", {})
     for rec in report.pairs:
         key = (rec["label_lo"], rec["label_hi"])
-        imesh = pair_meshes.get(key)
-        if imesh is None:
+        mesh = pair_meshes.get(key)
+        if mesh is None:
             continue
         files.append(write_ply(out / f"interspace_{key[0]:02d}_{key[1]:02d}.ply",
-                               imesh.mesh.vertices, imesh.mesh.triangles))
+                               mesh.vertices, mesh.triangles))
 
     vert_csv = out / "vertebrae.csv"
     with open(vert_csv, "w", newline="") as fh:
@@ -550,7 +541,7 @@ def main(argv=None) -> int:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--alpha", default=None,
                      help="'auto' or a radius in mm (default: one voxel diagonal)")
-    run.add_argument("--criteria", default=",".join(ALL_CRITERIA),
+    run.add_argument("--criteria", default=",".join(CRITERIA),
                      help="comma-separated subset of internal,euclidean,external")
     run.add_argument("--pairs", default=None,
                      help="explicit pair list like '1-2,2-3' of two different "

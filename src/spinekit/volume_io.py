@@ -17,6 +17,8 @@ read at all: every label lookup goes through the index (`label_voxels`,
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -28,6 +30,7 @@ from .errors import DescriptorError, EmptySelectionError
 
 HU_DTYPE = np.dtype("<i2")
 LABEL_DTYPE = np.dtype("<u2")
+MAX_LABEL = 28   # vertebrae are labeled 1..28 (VerSe)
 
 # label-file bytes per streamed read of the index, rounded down to whole z
 # planes (at least one); bounds the load's transient memory
@@ -88,11 +91,21 @@ def mm_to_index(mm, spacing, dims=None) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok[:, None], near, 0).astype(np.int64), ok
 
 
+def is_positive_real(value) -> bool:
+    """Whether `value` is a finite real number above 0; a bool is not."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < np.inf)   # NaN fails
+
+
 def _check_grid(dims, spacing) -> None:
-    if any(d <= 0 for d in dims):
-        raise DescriptorError(f"dims must be positive, got {dims}")
-    if any(s <= 0 for s in spacing):
-        raise DescriptorError(f"spacing must be positive, got {spacing}")
+    """DescriptorError unless `dims` are 3 integers of at least 1 and
+    `spacing` 3 finite reals above 0."""
+    if len(dims) != 3 or not all(isinstance(d, numbers.Integral)
+                                 and not isinstance(d, bool) and d >= 1 for d in dims):
+        raise DescriptorError(f"dims must be positive integers, 3 of them, got {dims}")
+    if len(spacing) != 3 or not all(is_positive_real(s) for s in spacing):
+        raise DescriptorError(
+            f"spacing must be positive finite numbers, 3 of them, got {spacing}")
 
 
 class _LabelIndex(NamedTuple):
@@ -207,7 +220,7 @@ def extract_label_points(volume: LabeledVolume, label: int) -> PointCloud:
 
 def _read_raw(path: Path, dtype: np.dtype, dims) -> np.ndarray:
     """Read-only memory map of a raw buffer of exactly prod(dims) voxels."""
-    expected = int(np.prod(dims))
+    expected = math.prod(dims)   # a Python int: no overflow
     try:
         with open(path, "rb") as fh:
             size = fh.seek(0, 2)
@@ -241,14 +254,15 @@ def _label_runs(path: Path, dims):
 def load_volume(descriptor_path) -> LabeledVolume:
     """Load a LabeledVolume from a JSON descriptor.
 
-    Descriptor keys: dims, spacing_mm, hu_file, label_file, centroid_file.
-    File paths are resolved relative to the descriptor location.  Each raw
-    file must hold exactly prod(dims) voxels; `hu` and `labels` are read-only
-    memory maps of them, so truncating a file while the volume is in use
-    kills the process with SIGBUS.  The label index is built here, from the
-    label file read in whole z planes.  Centroid annotations whose label has
-    no voxels do not fail the load; the volume's `orphan_centroids` derives
-    them from the labels (warning level).
+    Descriptor keys: dims (3 integers of at least 1), spacing_mm (3 finite
+    numbers above 0), hu_file, label_file, centroid_file.  File paths are
+    resolved relative to the descriptor location.  Each raw file must hold
+    exactly prod(dims) voxels; `hu` and `labels` are read-only memory maps of
+    them, so truncating a file while the volume is in use kills the process
+    with SIGBUS.  The label index is built here, from the label file read in
+    whole z planes.  Centroid annotations whose label has no voxels do not
+    fail the load; the volume's `orphan_centroids` derives them from the
+    labels (warning level).
     """
     descriptor_path = Path(descriptor_path)
     try:
@@ -257,16 +271,16 @@ def load_volume(descriptor_path) -> LabeledVolume:
         raise DescriptorError(f"cannot parse descriptor {descriptor_path}: {exc}") from exc
 
     try:
-        dims = tuple(int(d) for d in desc["dims"])
-        spacing = tuple(float(s) for s in desc["spacing_mm"])
+        dims, spacing = desc["dims"], desc["spacing_mm"]
         hu_file = desc["hu_file"]
         label_file = desc["label_file"]
         centroid_file = desc.get("centroid_file")
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DescriptorError(f"descriptor {descriptor_path} is malformed: {exc}") from exc
-    if len(dims) != 3 or len(spacing) != 3:
-        raise DescriptorError("dims and spacing_mm must have 3 entries")
+    if not (isinstance(dims, list) and isinstance(spacing, list)):
+        raise DescriptorError("dims and spacing_mm must be JSON arrays")
     _check_grid(dims, spacing)
+    dims, spacing = tuple(dims), tuple(float(s) for s in spacing)
 
     base = descriptor_path.parent
     hu = _read_raw(base / hu_file, HU_DTYPE, dims)
@@ -284,8 +298,8 @@ def load_volume(descriptor_path) -> LabeledVolume:
                 vox = [float(v) for v in entry["voxel"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise DescriptorError(f"malformed centroid entry {entry}") from exc
-            if not (1 <= lab <= 28):
-                raise DescriptorError(f"centroid label {lab} outside 1..28")
+            if not (1 <= lab <= MAX_LABEL):
+                raise DescriptorError(f"centroid label {lab} outside 1..{MAX_LABEL}")
             if lab in centroids:
                 raise DescriptorError(f"duplicate centroid for label {lab}")
             # NaN fails the bounds test, so this also demands finite values

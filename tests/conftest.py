@@ -364,13 +364,12 @@ def sphere_points(sphere_volume) -> sk.PointCloud:
 
 @pytest.fixture(scope="session")
 def sphere_mesh(sphere_points) -> sk.TriangleMesh:
-    return sk.build_alpha_shape(sphere_points, alpha=sphere_points.voxel_diagonal,
-                                source_label=1)
+    return sk.build_alpha_shape(sphere_points, alpha=sphere_points.voxel_diagonal)
 
 
 @pytest.fixture(scope="session")
 def sphere_mesh_auto(sphere_points) -> sk.TriangleMesh:
-    return sk.build_alpha_shape(sphere_points, alpha=sk.AUTO, source_label=1)
+    return sk.build_alpha_shape(sphere_points, alpha=sk.AUTO)
 
 
 @pytest.fixture(scope="session")
@@ -382,7 +381,7 @@ def compound():
 def compound_mesh(compound) -> sk.TriangleMesh:
     volume, _ = compound
     points = sk.extract_label_points(volume, 1)
-    return sk.build_alpha_shape(points, alpha=points.voxel_diagonal, source_label=1)
+    return sk.build_alpha_shape(points, alpha=points.voxel_diagonal)
 
 
 @pytest.fixture(scope="session")
@@ -413,8 +412,7 @@ def disc_interspace(gap: float) -> dict:
     meshes, samples, thresholds = {}, {}, {}
     for label in (1, 2):
         pts = sk.extract_label_points(volume, label)
-        meshes[label] = sk.build_alpha_shape(pts, alpha=pts.voxel_diagonal,
-                                             source_label=label)
+        meshes[label] = sk.build_alpha_shape(pts, alpha=pts.voxel_diagonal)
         samples[label] = sk.distance_distribution(meshes[label],
                                                   volume.centroids[label])
         curve = sk.estimate_density(samples[label],
@@ -423,9 +421,7 @@ def disc_interspace(gap: float) -> dict:
     fa, fb = sk.facing_vertices(meshes[1], meshes[2], volume.spacing)
     fa = sk.filter_body(fa, samples[1], thresholds[1])
     fb = sk.filter_body(fb, samples[2], thresholds[2])
-    imesh = sk.build_interspace(meshes[1], meshes[2], fa, fb,
-                                centroid_a=volume.centroids[1],
-                                centroid_b=volume.centroids[2], labels=(1, 2))
+    imesh = sk.build_interspace(meshes[1], meshes[2], fa, fb)
     result = {"volume": volume, "truth": truth, "meshes": meshes,
               "samples": samples, "thresholds": thresholds,
               "facing": (fa, fb), "interspace": imesh}

@@ -44,7 +44,7 @@ def test_criterion_1_sphere_mesh_quality():
     t0 = time.time()
     volume = sk.make_sphere_phantom(10.0, (1.0, 1.0, 1.0), 100, 0, 1)
     points = sk.extract_label_points(volume, 1)
-    mesh = sk.build_alpha_shape(points, alpha=points.voxel_diagonal, source_label=1)
+    mesh = sk.build_alpha_shape(points, alpha=points.voxel_diagonal)
     metrics = sk.mesh_metrics(mesh)
     elapsed = time.time() - t0
 
@@ -156,16 +156,17 @@ def test_criterion_5_roi(sphere_volume, sphere_mesh):
 
 def test_criterion_6_interspace(disc_interspace_4):
     truth = disc_interspace_4["truth"]
-    imesh = disc_interspace_4["interspace"]
-    rel = abs(imesh.volume - truth.gap_volume) / truth.gap_volume
-    volumes = [disc_interspace(g)["interspace"].volume for g in (2.0, 4.0, 8.0)]
+    volume = sk.mesh_metrics(disc_interspace_4["interspace"]).volume
+    rel = abs(volume - truth.gap_volume) / truth.gap_volume
+    volumes = [sk.mesh_metrics(disc_interspace(g)["interspace"]).volume
+               for g in (2.0, 4.0, 8.0)]
 
     meshes = disc_interspace_4["meshes"]
     fa, fb = sk.facing_vertices(meshes[1], meshes[2],
                                 disc_interspace_4["volume"].spacing)
     oracle_a = np.unique(brute_force_nearest(meshes[1].vertices, meshes[2].vertices))
     oracle_b = np.unique(brute_force_nearest(meshes[2].vertices, meshes[1].vertices))
-    print(f"    measured: volume={imesh.volume:.1f} mm^3 vs {truth.gap_volume:.1f} "
+    print(f"    measured: volume={volume:.1f} mm^3 vs {truth.gap_volume:.1f} "
           f"({rel:.2%}); gap series {[round(v, 1) for v in volumes]}")
     _criterion(6, "disc-pair interspace volume, monotonicity, facing oracle", [
         ("volume within 15% of 2827.4 mm^3", rel <= 0.15),

@@ -1,6 +1,10 @@
 """Alpha-shape reconstruction and mesh metrics."""
 
 import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,3 +410,22 @@ def test_sole_faces_count_ids_beyond_an_int64_cube_key():
     tris = np.array([[5, big, big + 2], [0, 1, big], [5, big, big + 2],
                      [0, 1, 2], [1, big + 1, big + 3]], dtype=np.int32)
     assert alpha_mesh._sole_faces(tris).tolist() == [3, 1, 4]
+
+
+def test_auto_build_leaves_scipy_ndimage_unimported():
+    # `_shell` imports the EDT lazily; only a numeric alpha on a point cloud
+    # needs it
+    script = (
+        "import sys, spinekit as sk\n"
+        "v = sk.make_sphere_phantom(10.0, (1.0, 1.0, 1.0), 100, 0, 1)\n"
+        "points = sk.extract_label_points(v, 1)\n"
+        "sk.build_alpha_shape(points, alpha='auto')\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+        "sk.build_alpha_shape(points, alpha=points.voxel_diagonal)\n"
+        "print('scipy.ndimage' in sys.modules)\n")
+    paths = [str(Path(sk.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]

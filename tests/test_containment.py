@@ -126,8 +126,7 @@ def _stats_tuple(stats) -> tuple:
 
 
 def _stats_of(volume, mesh) -> tuple:
-    return _stats_tuple(sk.interspace_voxel_stats(
-        volume, sk.InterspaceMesh(mesh, None, None, 0.0, None)))
+    return _stats_tuple(sk.interspace_voxel_stats(volume, mesh))
 
 
 _cloud = st.lists(st.tuples(*[st.integers(0, 5)] * 3), min_size=4, max_size=30,
@@ -218,8 +217,7 @@ def test_off_lattice_vertex_is_a_contract_error():
         moved[0] += shift
         mesh = sk.TriangleMesh(vertices=moved, triangles=triangles)
         with pytest.raises(MeshContractError):
-            sk.interspace_voxel_stats(
-                volume, sk.InterspaceMesh(mesh, None, None, 0.0, None))
+            sk.interspace_voxel_stats(volume, mesh)
 
 
 def test_zero_area_triangles_mark_their_segment():
@@ -260,9 +258,9 @@ def test_phantom_interspaces_match_oracle(gap):
     else:
         chain = disc_interspace(gap)
         volume, imesh = chain["volume"], chain["interspace"]
-    _assert_matches_oracle(volume, imesh.mesh)
+    _assert_matches_oracle(volume, imesh)
     assert (_stats_tuple(sk.interspace_voxel_stats(volume, imesh))
-            == interspace_stats_reference(volume, imesh.mesh))
+            == interspace_stats_reference(volume, imesh))
 
 
 @pytest.mark.parametrize("name", ["lumbar_r25", "stack_auto", "fov_sparse"])
@@ -279,7 +277,7 @@ def test_workload_pairs_match_oracle(name):
         arts[label] = _process_vertebra(volume, label, cfg, warnings)[1]
     for lo, hi in truth.pairs:
         rec, imesh = _process_pair(volume, lo, hi, arts, warnings)
-        _assert_matches_oracle(volume, imesh.mesh)
+        _assert_matches_oracle(volume, imesh)
         assert ((rec["hu_mean"], rec["hu_sum"], rec["voxel_count"],
                  rec["excluded_count"])
-                == interspace_stats_reference(volume, imesh.mesh))
+                == interspace_stats_reference(volume, imesh))

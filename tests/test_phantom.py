@@ -50,6 +50,16 @@ def test_sphere_invalid_params():
         sk.make_sphere_phantom(5.0, (1, -1, 1), 100, 0, 1)
     with pytest.raises(PhantomSpecError):
         sk.make_sphere_phantom(5.0, (1, 1, 1), 100, 0, 0)
+    nan = float("nan")
+    for args in ((nan, (1, 1, 1), 100, 0, 1), ("5", (1, 1, 1), 100, 0, 1),
+                 (np.inf, (1, 1, 1), 100, 0, 1), (5.0, (nan, 1, 1), 100, 0, 1),
+                 (5.0, ("1", 1, 1), 100, 0, 1), (5.0, (1, 1), 100, 0, 1),
+                 (5.0, 1.0, 100, 0, 1), (5.0, (1, 1, 1), nan, 0, 1),
+                 (5.0, (1, 1, 1), 100, 40000, 1), (5.0, (1, 1, 1), 100, 0, 1.5),
+                 (5.0, (1, 1, 1), 100, 0, 29),
+                 (5.0, (1, 1, 1), 100, 0, True)):
+        with pytest.raises(PhantomSpecError):
+            sk.make_sphere_phantom(*args)
 
 
 def test_compound_trimodal_histogram(compound):
@@ -175,3 +185,51 @@ def test_phantom_from_spec_round_trip():
 
     with pytest.raises(PhantomSpecError):
         phantom_from_spec({"kind": "torus", "spacing_mm": [1, 1, 1]})
+
+
+_SPECS = {
+    "sphere": {"kind": "sphere", "radius_mm": 3.0, "spacing_mm": [1, 1, 1]},
+    "compound_vertebra": {"kind": "compound_vertebra", "body_radius_mm": 15.0,
+                          "spacing_mm": [1, 1, 1]},
+    "disc_pair": {"kind": "disc_pair", "disc_radius_mm": 6.0, "thickness_mm": 4.0,
+                  "gap_mm": 2.0, "spacing_mm": [1, 1, 1]},
+}
+
+
+@pytest.mark.parametrize("kind, key, value", [
+    ("sphere", "spacing_mm", [float("nan"), 1, 1]),
+    ("sphere", "spacing_mm", 1),
+    ("sphere", "radius_mm", float("nan")),
+    ("sphere", "radius_mm", "5"),
+    ("sphere", "radius_mm", None),
+    ("sphere", "label", 1.5),
+    ("sphere", "label", 29),   # load_volume reads labels 1..28
+    ("sphere", "hu_inside", float("nan")),
+    ("sphere", "hu_outside", "0"),
+    ("compound_vertebra", "body_radius_mm", float("inf")),
+    ("compound_vertebra", "arch_tube_radius_mm", float("nan")),
+    ("compound_vertebra", "process_length_mm", "4"),
+    ("compound_vertebra", "arch_distance_mm", float("nan")),
+    ("compound_vertebra", "process_distance_mm", float("nan")),
+    ("disc_pair", "gap_mm", float("nan")),
+    ("disc_pair", "thickness_mm", "4"),
+    ("disc_pair", "labels", [1, 2.5]),
+    ("disc_pair", "labels", 3),
+    ("disc_pair", "labels", [1, 2, 3]),
+])
+def test_phantom_from_spec_rejects_malformed_numbers(kind, key, value):
+    phantom_from_spec(_SPECS[kind])      # the unmodified spec builds
+    with pytest.raises(PhantomSpecError):
+        phantom_from_spec({**_SPECS[kind], key: value})
+
+
+@pytest.mark.parametrize("kind, key", [("sphere", "radius_mm"), ("sphere", "kind"),
+                                       ("compound_vertebra", "body_radius_mm"),
+                                       ("disc_pair", "gap_mm")])
+def test_phantom_from_spec_missing_key(kind, key):
+    spec = dict(_SPECS[kind])
+    del spec[key]
+    with pytest.raises(PhantomSpecError, match=key):
+        phantom_from_spec(spec)
+    with pytest.raises(PhantomSpecError):
+        phantom_from_spec([spec])

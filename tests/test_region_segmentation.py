@@ -60,8 +60,7 @@ def _mix_samples(rng, n, weights, mus, sigmas):
 
 
 def _as_samples(values):
-    return sk.DistanceSamples(values=np.asarray(values, dtype=float),
-                              centroid=np.zeros(3))
+    return sk.DistanceSamples(values=np.asarray(values, dtype=float))
 
 
 # -------------------------------------------------------- distance distribution

@@ -15,7 +15,7 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.report_cli import (ALL_CRITERIA, PAIRS_CSV_COLUMNS,
+from spinekit.report_cli import (CRITERIA, PAIRS_CSV_COLUMNS,
                                  VERTEBRAE_CSV_COLUMNS, PipelineConfig,
                                  emit_outputs, main, run_pipeline)
 from spinekit.volume_io import CentroidAnnotation
@@ -82,7 +82,8 @@ def test_disc_records_and_pair(disc_run):
     assert (pair["label_lo"], pair["label_hi"]) == (1, 2)
     assert abs(pair["volume_mm3"] - truth.gap_volume) / truth.gap_volume <= 0.15
     assert pair["hu_mean"] == -50.0
-    assert pair["centroid_dist_mm"] == pytest.approx(14.0)
+    # thickness + gap between the cylinder centres
+    assert pair["centroid_dist_mm"] == pytest.approx(14.0, abs=1e-9)
     assert pair["excluded_count"] == 0
 
 
@@ -345,6 +346,18 @@ def test_cli_phantom_and_run(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_phantom_malformed_spec_exits_2(tmp_path, capsys):
+    for i, bad in enumerate(({"spacing_mm": [float("nan"), 1, 1]},
+                             {"radius_mm": float("nan")}, {"radius_mm": "5"})):
+        spec = {"kind": "sphere", "radius_mm": 3.0, "spacing_mm": [1, 1, 1], **bad}
+        spec_path = tmp_path / f"spec{i}.json"
+        spec_path.write_text(json.dumps(spec))
+        assert main(["phantom", "--spec", str(spec_path),
+                     "--out", str(tmp_path / "vol")]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "vol").exists()
+
+
 def test_cli_error_paths(tmp_path):
     assert main(["run", "--input", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "out")]) == 2
@@ -457,4 +470,4 @@ def test_cli_report_cli_module_points_at_package(tmp_path):
 
 
 def test_all_criteria_constant():
-    assert ALL_CRITERIA == ("internal", "euclidean", "external")
+    assert CRITERIA == ("internal", "euclidean", "external")

@@ -111,8 +111,7 @@ def test_external_empty_when_everything_labeled(sphere_mesh):
 def anisotropic_sphere():
     volume = sk.make_sphere_phantom(10.0, (0.8, 0.8, 1.25), 100, 0, 1)
     points = sk.extract_label_points(volume, 1)
-    return volume, sk.build_alpha_shape(points, alpha=points.voxel_diagonal,
-                                        source_label=1)
+    return volume, sk.build_alpha_shape(points, alpha=points.voxel_diagonal)
 
 
 @pytest.fixture(scope="module")
@@ -238,9 +237,7 @@ def test_criterion_parsing(sphere_volume, sphere_mesh):
 # --------------------------------------------------------- region aggregation
 
 def _labeling(regions):
-    th = sk.Thresholds(t1=1.0, t2=2.0, t3=3.0)
-    return sk.RegionLabeling(regions=np.asarray(regions, dtype=np.int8),
-                             thresholds=th)
+    return sk.RegionLabeling(regions=np.asarray(regions, dtype=np.int8))
 
 
 def _texture(hu):

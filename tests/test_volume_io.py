@@ -42,6 +42,12 @@ def test_size_mismatch_error(tmp_path):
     path.write_text(json.dumps(desc))
     with pytest.raises(DescriptorError, match="999"):
         sk.load_volume(path)
+    # 2**40 * 2**40 voxels wrap to 0 in int64, which an empty file would match
+    for name in ("hu.raw", "lab.raw"):
+        (tmp_path / name).write_bytes(b"")
+    path = _raw_descriptor(tmp_path, (2 ** 40, 2 ** 40, 1))
+    with pytest.raises(DescriptorError, match="declares 1208925819614629174706176"):
+        sk.load_volume(path)
 
 
 def _raw_descriptor(tmp_path, dims, spacing=(1, 1, 1)):
@@ -66,6 +72,20 @@ def test_grid_checked_before_raw_files(tmp_path):
         sk.load_volume(_raw_descriptor(tmp_path, (0, 4, 4)))
     with pytest.raises(DescriptorError, match="spacing must be positive"):
         sk.load_volume(_raw_descriptor(tmp_path, (1, 1, 1), spacing=(1, 0, 1)))
+    # json reads NaN and Infinity; a fractional, string or boolean dim is not
+    # an integer, and the raw files' size check must not be what catches them
+    nan, inf = float("nan"), float("inf")
+    for dims in ((11.9, 11, 11), ("11", 11, 11), (True, 1, 1), (11, 11), (1e400, 1, 1)):
+        with pytest.raises(DescriptorError, match="dims must be positive"):
+            sk.load_volume(_raw_descriptor(tmp_path, dims))
+    for spacing in ((nan, 1, 1), (1, inf, 1), (1, 1, -inf), ("1", 1, 1),
+                    (True, 1, 1), (1, 1)):
+        with pytest.raises(DescriptorError, match="spacing must be positive"):
+            sk.load_volume(_raw_descriptor(tmp_path, (1, 1, 1), spacing=spacing))
+    path = _raw_descriptor(tmp_path, (1, 1, 1), spacing=(nan, 1, 1))
+    assert report_cli.main(["run", "--input", str(path),
+                            "--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_raw_file_error(tmp_path):
