@@ -3,14 +3,13 @@
 The alpha complex is computed from the Delaunay tetrahedralization of the
 point cloud: a tetrahedron belongs to the complex iff its circumradius is at
 most alpha, and the surface is the set of triangular faces incident to
-exactly one kept tetrahedron.  A face has at most two tetrahedra; in one
-build of the whole cloud the Delaunay adjacency names the second, so the
-boundary is read off it: a kept tetrahedron's face is on the surface iff the
-neighbor across it is missing or not kept.  Grid-sampled clouds are full of
-cospherical and coplanar degeneracies, so the combinatorial side
-(triangulation, circumradii, face orientation) runs on a deterministically
-micro-jittered copy of the points while all emitted geometry uses the
-original coordinates.
+exactly one kept tetrahedron.  A face has at most two tetrahedra; in a
+Delaunay build the adjacency names the second, so the boundary is read off
+it: a kept tetrahedron's face is on the surface iff the neighbor across it
+is missing or not kept.  Grid-sampled clouds are full of cospherical and
+coplanar degeneracies, so the combinatorial side (triangulation, circumradii,
+face orientation) runs on a deterministically micro-jittered copy of the
+points while all emitted geometry uses the original coordinates.
 Exactly-degenerate tetrahedra then behave as infinitely-thin cells: their
 jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
@@ -63,10 +62,12 @@ coordinates relative to the shell's lowest corner, so every slab computes the
 same floats and each kept tetrahedron has exactly one owner, for any number
 of slabs.  The slack ε = alpha / 1000 covers the rounding between those
 floats and the exact centre (under 3e-7 mm measured on the benchmark
-spines).  The boundary is read by counting faces among the kept tetrahedra,
-not from an adjacency: a face used once is on it.  Each slab counts among its
-own, and the faces left from all slabs are counted again, so a face between
-two slabs drops out.
+spines).  Each slab reads the boundary of what it owns and keeps off its own
+adjacency.  If the slab tetrahedron across face f of such a t is owned and
+kept too, it is t's kept neighbor in the whole shell, and f is interior.
+Otherwise f is on the whole boundary, or the kept tetrahedron across it is
+owned by one other slab (here it would be t's neighbor), which emits f too,
+so `_sole_faces` in the merge drops exactly the faces between slabs.
 
 qhull is not exactly Delaunay where points are nearly cospherical, so a slab
 could fill such a set with other tetrahedra than the one build; they fill
@@ -206,11 +207,13 @@ def _spans_3d(points: np.ndarray) -> bool:
     return np.linalg.matrix_rank(centered, tol=tol) == 3
 
 
-def _delaunay(points: np.ndarray) -> Delaunay:
+def _delaunay(points: np.ndarray):
+    """qhull's (simplices, neighbors) of `points`."""
     try:
-        return Delaunay(points)
+        tri = Delaunay(points)
     except QhullError as exc:
         raise ReconstructionError(f"tetrahedralization failed: {exc}") from exc
+    return tri.simplices, tri.neighbors
 
 
 def _circumradii(pts: np.ndarray, tets: np.ndarray):
@@ -224,11 +227,12 @@ def _circumradii(pts: np.ndarray, tets: np.ndarray):
     det = np.linalg.det(m)
     scale = np.max(np.abs(m), axis=(1, 2)) + 1e-300
     good = np.abs(det) > 1e-14 * scale ** 3
-    radii = np.full(len(tets), np.inf)
-    centers = np.full((len(tets), 3), np.nan)
-    if good.any():
-        centers[good] = np.linalg.solve(m[good], rhs[good][..., None])[..., 0]
-        radii[good] = np.linalg.norm(centers[good] - a[good], axis=1)
+    # a regular stand-in for the others, so one solve takes every row uncopied
+    m[~good] = np.eye(3)
+    centers = np.linalg.solve(m, rhs[..., None])[..., 0]
+    centers[~good] = np.nan
+    radii = np.linalg.norm(centers - a, axis=1)
+    radii[~good] = np.inf
     return radii, centers
 
 
@@ -265,7 +269,8 @@ def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
 
 def _sole_faces(tris: np.ndarray) -> np.ndarray:
     """Positions of the rows of `tris` (ascending vertex ids) whose vertex
-    set occurs once, in ascending order of that set."""
+    set occurs once, in ascending order of that set: the faces left after
+    pairing those that two slabs share across a cut."""
     order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
     rows = tris[order]
     # new[i]: sorted row i starts a run of equal rows (new[-1]: the end)
@@ -277,20 +282,20 @@ def _sole_faces(tris: np.ndarray) -> np.ndarray:
 def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     """(kept, faces) of one slab: the tetrahedra of the Delaunay build of
     jit[sel] with circumradius <= alpha and circumcentre in [lo, hi) along
-    `axis` of `local`, as ascending ids into `jit` (int32), and their faces
-    used once among them, oriented (`_outward`) and sorted.  Only these
-    leave the worker."""
+    `axis` of `local`, as ascending ids into `jit` (int32), and their
+    `_boundary_faces`.  Only these leave the worker."""
     if not _spans_3d(jit[sel]):   # no solid tetrahedron
         return np.zeros((0, 4), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
-    # `sel` ascends, so sorted slab ids are sorted global ids
-    tets = np.sort(_delaunay(jit[sel]).simplices, axis=1)
-    radii, centers = _circumradii(local[sel], tets)
+    tets, neighbors = _delaunay(jit[sel])
+    # ids into `jit`, in qhull's vertex order so that neighbors[t, j] stays
+    # across from vertex j; rebinding frees qhull's slab ids before the radii
+    # (holding them raised lumbar_r25's peak RSS on two threads by ~5 MiB)
+    tets = sel.astype(np.int32)[tets]
+    # ascending ids on coordinates relative to the shell's corner: every
+    # slab that holds a tetrahedron computes the same floats
+    radii, centers = _circumradii(local, np.sort(tets, axis=1))
     own = (radii <= alpha) & (centers[:, axis] >= lo) & (centers[:, axis] < hi)
-    kept = sel[tets[own]].astype(np.int32)
-    # row 4t + j is face j of tetrahedron t, ascending, opposite its vertex j
-    faces = kept[:, _FACES].reshape(-1, 3)
-    sole = _sole_faces(faces)
-    return kept, _outward(jit, faces[sole], kept.reshape(-1)[sole])
+    return np.sort(tets[own], axis=1), _boundary_faces(jit, tets, neighbors, own)
 
 
 def _slab_complex(points: np.ndarray, jit: np.ndarray, spacing, alpha: float,
@@ -340,6 +345,9 @@ def _face_components(tris: np.ndarray) -> np.ndarray:
 
 
 def _check_solid(points: np.ndarray) -> None:
+    if points.ndim != 2 or points.shape[1] != 3 or not np.isfinite(points).all():
+        raise ReconstructionError(
+            f"points must be finite (N, 3) coordinates, got shape {points.shape}")
     if len(points) < 4:
         raise ReconstructionError(f"need at least 4 points, got {len(points)}")
     if not _spans_3d(points):
@@ -382,16 +390,15 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
 
 
 class _AlphaComplex:
-    """One Delaunay build of every point and its circumradii, which serve
-    every alpha (`evaluate`): the build for "auto" and raw point arrays."""
+    """One Delaunay build of every point (tetrahedra, adjacency, circumradii
+    in qhull's order), which serves every alpha: "auto" and raw arrays."""
 
     def __init__(self, points: np.ndarray):
         _check_solid(points)
         self.points = points
         self.index = np.arange(len(points))
         self.jit = _jittered(points)
-        self.delaunay = _delaunay(self.jit)
-        self.tets = self.delaunay.simplices
+        self.tets, self.neighbors = _delaunay(self.jit)
         self.radii = _circumradii(self.jit, self.tets)[0]
         finite = self.radii[np.isfinite(self.radii)]
         if finite.size == 0:
@@ -401,7 +408,7 @@ class _AlphaComplex:
     def evaluate(self, alpha: float):
         """`_surface` of the tetrahedra with circumradius <= alpha."""
         keep = self.radii <= alpha
-        boundary = _boundary_faces(self.jit, self.tets, self.delaunay.neighbors, keep)
+        boundary = _boundary_faces(self.jit, self.tets, self.neighbors, keep)
         return _surface(self.points, self.index, np.ones(len(self.points), dtype=bool),
                         self.tets[keep], boundary)
 

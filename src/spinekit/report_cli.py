@@ -76,8 +76,8 @@ class PipelineConfig:
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
     diagonal.  `criteria` names each mapping criterion at most once.
     `pairs` overrides the consecutive-label pairing; each pair joins two
-    different integer labels, both at least 1.  Both lists are stored as
-    tuples.  Any other value raises SpineKitError.
+    different int labels (not bools), both at least 1.  Both lists are stored
+    as tuples of Python values.  Any other value raises SpineKitError.
     """
 
     input_path: str | Path
@@ -103,15 +103,20 @@ class PipelineConfig:
         if self.alpha not in (None, AUTO) and not is_positive_real(self.alpha):
             raise SpineKitError(
                 f"alpha must be finite and positive or 'auto', got {self.alpha}")
-        if self.bandwidth is not None and not is_positive_real(self.bandwidth):
-            raise SpineKitError(
-                f"bandwidth must be finite and positive, got {self.bandwidth}")
+        if self.bandwidth is not None:
+            if not is_positive_real(self.bandwidth):
+                raise SpineKitError(
+                    f"bandwidth must be finite and positive, got {self.bandwidth}")
+            self.bandwidth = float(self.bandwidth)
         bad = [p for p in self.pairs or ()
                if not (isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
-                       and all(isinstance(x, numbers.Integral) and x >= 1 for x in p))]
+                       and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
+                               and x >= 1 for x in p))]
         if bad:
             raise SpineKitError(
                 f"pairs must join two different labels of at least 1, got {bad}")
+        if self.pairs is not None:
+            self.pairs = tuple((int(lo), int(hi)) for lo, hi in self.pairs)
 
     def semantic(self) -> dict:
         """Config content that determines the outputs (paths excluded)."""
@@ -273,7 +278,7 @@ def _process_vertebra(volume, label, cfg, warnings):
 
 def _derive_pairs(labels, cfg, warnings):
     if cfg.pairs is not None:
-        return [(int(lo), int(hi)) for lo, hi in cfg.pairs]
+        return list(cfg.pairs)
     pairs = []
     for lo, hi in zip(labels, labels[1:]):
         if hi == lo + 1:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -43,6 +44,20 @@ def test_coplanar_points_error():
     grid = np.array([[x, y, 0.0] for x in range(5) for y in range(5)])
     with pytest.raises(ReconstructionError, match="coplanar"):
         sk.build_alpha_shape(grid, alpha=100.0)
+
+
+@pytest.mark.parametrize("alpha", [100.0, "auto"])
+def test_malformed_point_arrays_error(alpha, sphere_points):
+    cube = UNIT_CUBE.copy()
+    cube[3, 1] = np.nan
+    for bad in (cube, np.where(UNIT_CUBE > 0, np.inf, 0.0), UNIT_CUBE[:, :2],
+                np.zeros((10, 2)), UNIT_CUBE.ravel()):
+        with pytest.raises(ReconstructionError, match=r"finite \(N, 3\) coordinates"):
+            sk.build_alpha_shape(bad, alpha=alpha)
+    points = sphere_points.points.copy()
+    points[7] = -np.inf
+    with pytest.raises(ReconstructionError, match="finite"):
+        sk.build_alpha_shape(sk.PointCloud(points, sphere_points.spacing), alpha)
 
 
 def test_alpha_too_small_error(sphere_points):
@@ -168,8 +183,7 @@ def _assert_boundary_matches_reference(complex_, alpha):
     """Adjacency boundary == sorted-face reference, row for row, and the
     edge and component helpers agree with their sort-based references."""
     keep = complex_.radii <= alpha
-    tris = _boundary_faces(complex_.jit, complex_.tets,
-                           complex_.delaunay.neighbors, keep)
+    tris = _boundary_faces(complex_.jit, complex_.tets, complex_.neighbors, keep)
     ref = sorted_boundary_faces(complex_.jit, complex_.tets, keep)
     assert tris.shape == ref.shape
     assert np.array_equal(tris, ref)
@@ -251,9 +265,12 @@ def _outcome(points, alpha):
 def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     """The slab builds of `cloud`'s shell at 1 to 6 slabs equal one full
     build of its raw points: the surface's triangles, components, volumes
-    and failure reason, and the returned mesh or error.  Tetrahedra are not
-    compared, as qhull may fill a near-cospherical lattice cube differently
-    in a slab.  Returns the number of points the shell leaves out."""
+    and failure reason, and the returned mesh or error.  Each slab build's
+    boundary also equals face counting over its kept tetrahedra, a rule
+    that shares no code with the adjacency both builds read.  Tetrahedra
+    are not compared, as qhull may fill a near-cospherical lattice cube
+    differently in a slab.  Returns the number of points the shell leaves
+    out."""
     index, shallow = _shell(cloud.points, cloud.spacing, alpha)
     jit = _jittered(cloud.points)[index]
     full = _AlphaComplex(cloud.points)
@@ -264,6 +281,9 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
                                        alpha, slabs)
         # each kept tetrahedron has exactly one owning slab
         assert len(np.unique(kept, axis=0)) == len(kept)
+        # the boundary by counting faces, independent of any adjacency
+        assert np.array_equal(boundary, sorted_boundary_faces(
+            jit, kept, np.ones(len(kept), dtype=bool)))
         s_res, s_why = _surface(cloud.points, index, shallow, kept, boundary)
         assert s_why == f_why
         if f_res is not None:
@@ -402,6 +422,36 @@ def test_numeric_alpha_builds_without_an_affinity_mask(sphere_points, monkeypatc
     mesh = sk.build_alpha_shape(sphere_points, alpha)
     assert np.array_equal(mesh.triangles, expected.triangles)
     assert np.array_equal(mesh.vertices, expected.vertices)
+
+
+@pytest.fixture(scope="module")
+def anisotropic_points() -> sk.PointCloud:
+    return sk.extract_label_points(
+        sk.make_sphere_phantom(10.0, (0.8, 0.8, 1.25), 100, 0, 1), 1)
+
+
+@pytest.mark.parametrize("roll_neighbors", [True, False])
+def test_slab_boundary_follows_each_row_with_its_neighbors(roll_neighbors,
+                                                           anisotropic_points,
+                                                           monkeypatch):
+    # qhull lists a tetrahedron's vertices in any order; the boundary must
+    # pair neighbors[t, j] with vertex j of the same row, whatever the order
+    alpha = anisotropic_points.voxel_diagonal
+    reference = sk.build_alpha_shape(anisotropic_points, alpha)
+    real = alpha_mesh.Delaunay
+
+    def rolled(points):
+        tri = real(points)
+        neighbors = np.roll(tri.neighbors, 1, axis=1) if roll_neighbors else tri.neighbors
+        return SimpleNamespace(simplices=np.roll(tri.simplices, 1, axis=1),
+                               neighbors=neighbors)
+
+    monkeypatch.setattr(alpha_mesh, "Delaunay", rolled)
+    mesh, err = _outcome(anisotropic_points, alpha)
+    same = mesh is not None and (
+        np.array_equal(mesh.vertices, reference.vertices)
+        and np.array_equal(mesh.triangles, reference.triangles))
+    assert same == roll_neighbors, err
 
 
 def test_sole_faces_count_ids_beyond_an_int64_cube_key():

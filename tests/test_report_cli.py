@@ -1,5 +1,6 @@
 """Pipeline orchestration, report emission and CLI behavior."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -408,6 +409,23 @@ def test_config_rejects_degenerate_pairs(tmp_path):
     PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=[(1, 2), (3, 1)])
 
 
+def test_numpy_config_values_give_the_python_config(tmp_path):
+    def config(**fields):
+        return PipelineConfig(input_path=tmp_path, out_dir=tmp_path, **fields)
+
+    python = config(alpha=1.5, bandwidth=2.0, pairs=[(1, 2), (3, 4)])
+    numpy = config(alpha=np.float64(1.5), bandwidth=np.float32(2.0),
+                   pairs=[(np.int64(1), np.int32(2)), (np.uint8(3), np.uint8(4))])
+    assert numpy.semantic() == python.semantic()
+    assert type(numpy.bandwidth) is float
+    assert all(type(x) is int for pair in numpy.pairs for x in pair)
+    # the config hash as run_pipeline takes it
+    python_hash, numpy_hash = (
+        hashlib.sha256(json.dumps(c.semantic(), sort_keys=True).encode()).hexdigest()
+        for c in (python, numpy))
+    assert numpy_hash == python_hash
+
+
 @pytest.mark.parametrize("pairs", ["2-2", "0-1", "1-2,1-1"])
 def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     # a pair of one label would report that vertebra's own body as its
@@ -425,7 +443,10 @@ def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     ("bandwidth", object()),
     ("pairs", [(1,)]), ("pairs", [(1, 2, 3)]), ("pairs", [(1.5, 2)]),
     ("pairs", [("1", "2")]), ("pairs", [5]), ("pairs", 5), ("criteria", 5),
-    ("criteria", "internal")])
+    ("criteria", "internal"),
+    # a bool is an Integral and a Real, but True is not label 1 or 1 mm
+    ("pairs", [(True, 2)]), ("pairs", [(1, False)]), ("pairs", [(np.bool_(True), 2)]),
+    ("alpha", True), ("bandwidth", True)])
 def test_config_rejects_malformed_values(tmp_path, field, value):
     with pytest.raises(sk.SpineKitError, match=field):
         PipelineConfig(input_path=tmp_path, out_dir=tmp_path, **{field: value})
