@@ -36,10 +36,11 @@ For alpha > h (plus a jitter margin, see `_shell`):
 
 The jitter is drawn on the full cloud and each triangle is written from its
 smallest vertex index, so the result equals the full build.  The shell keeps
-every point when alpha is within the jitter margin of h.  `alpha="auto"`
-(its binary search depends on the candidate radii, which the shell changes)
-and raw point arrays (no lattice) take no shell: `_AlphaComplex` builds them
-from every point.
+every point when alpha is within the jitter margin of h.  A raw point array
+(no lattice, so no depth and no cuts) is one slab of every point, all
+shallow.  `alpha="auto"` (its binary search depends on the candidate radii,
+which the shell changes) triangulates every point once, as one slab with
+bounds (-inf, inf).
 
 The shell of a `PointCloud` with a numeric alpha is then triangulated slab by
 slab on a thread pool (DeWall, Cignoni, Montani & Scopigno 1998; qhull
@@ -57,10 +58,12 @@ exactly the set of kept tetrahedra of one build of the whole shell:
   has a ball within alpha of the core, so any shell point inside that ball
   would be in the slab; its ball is empty in the whole shell.
 
-Centre and radius are computed from the vertices in ascending index, on
-coordinates relative to the shell's lowest corner, so every slab computes the
-same floats and each kept tetrahedron has exactly one owner, for any number
-of slabs.  The slack ε = alpha / 1000 covers the rounding between those
+Every build triangulates through `_triangulate`, which computes centre and
+radius from the vertices in ascending index, on coordinates relative to the
+cloud's lowest corner (which the shell keeps).  So every slab and the build
+of `auto` compute the same floats: each kept tetrahedron has one owner, for
+any number of slabs, and a numeric alpha equal to `auto`'s keeps the same
+tetrahedra.  The slack ε = alpha / 1000 covers the rounding between those
 floats and the exact centre (under 3e-7 mm measured on the benchmark
 spines).  Each slab reads the boundary of what it owns and keeps off its own
 adjacency.  If the slab tetrahedron across face f of such a t is owned and
@@ -70,16 +73,12 @@ owned by one other slab (here it would be t's neighbor), which emits f too,
 so `_sole_faces` in the merge drops exactly the faces between slabs.
 
 qhull is not exactly Delaunay where points are nearly cospherical, so a slab
-could fill such a set with other tetrahedra than the one build; they fill
-the same volume and leave the boundary unchanged.
+could fill such a set with other tetrahedra than a build of every point;
+they fill the same volume and leave the boundary unchanged.
 Each cut sits a quarter voxel step from the lattice planes and from the
 lattice cube centres, so the tetrahedra of one near-cospherical lattice
 cube, whose centres cluster within micrometres of the cube centre, fall in
-one core and come from one triangulation.  The one build, whose radii come
-in qhull's vertex order and absolute coordinates, could keep or drop another
-tetrahedron only where its radius lies within rounding (about 1e-5 mm) of
-alpha; none lies within 1e-3 mm of the default alpha on the benchmark
-spines.
+one core and come from one triangulation.
 """
 
 from __future__ import annotations
@@ -119,7 +118,7 @@ class TriangleMesh:
 
     def edge_use_counts(self) -> np.ndarray:
         """Usage count per undirected edge (closed manifolds are all 2)."""
-        return _edge_use_counts(self.triangles)
+        return np.unique(_edge_keys(self.triangles), return_counts=True)[1]
 
     def is_closed(self) -> bool:
         counts = self.edge_use_counts()
@@ -141,8 +140,15 @@ def _edge_keys(triangles: np.ndarray) -> np.ndarray:
     return edges[:, 0] * n + edges[:, 1]
 
 
-def _edge_use_counts(triangles: np.ndarray) -> np.ndarray:
-    return np.unique(_edge_keys(triangles), return_counts=True)[1]
+def _edge_runs(triangles: np.ndarray):
+    """(order, same, counts) of at least one triangle, from one sort: the
+    sides of `_edge_keys` in stable key order, whether each sorted side after
+    the first has its predecessor's key, and the use count per edge."""
+    key = _edge_keys(triangles)
+    order = np.argsort(key, kind="stable")
+    sorted_keys = key[order]
+    same = sorted_keys[1:] == sorted_keys[:-1]
+    return order, same, np.diff(np.flatnonzero(np.concatenate(([True], ~same, [True]))))
 
 
 def _jitter_amplitude(points: np.ndarray) -> float:
@@ -162,9 +168,11 @@ def _shell(points: np.ndarray, spacing, alpha):
 
     Depth is a point's mm distance to the nearest lattice point outside the
     cloud.  Every point is kept and shallow when alpha is within the jitter
-    margin of h.  Only a numeric alpha on a `PointCloud` comes here; "auto"
-    and raw point arrays are built whole by `_AlphaComplex`.
+    margin of h, and when there is no lattice (`spacing` None: a raw point
+    array).  "auto" takes every point and never comes here.
     """
+    if spacing is None:   # no lattice, no depth
+        return np.arange(len(points)), np.ones(len(points), dtype=bool)
     spacing = np.asarray(spacing, dtype=float)
     h = 0.5 * float(np.linalg.norm(spacing))
     delta = np.sqrt(3.0) * _jitter_amplitude(points)
@@ -279,6 +287,19 @@ def _sole_faces(tris: np.ndarray) -> np.ndarray:
     return order[new[:-1] & new[1:]]
 
 
+def _triangulate(jit, local, sel):
+    """(tets, neighbors, radii, centers) of the Delaunay build of jit[sel]:
+    ids into `jit` (int32) in qhull's vertex order, so that neighbors[t, j]
+    stays across from vertex j, and radii and centres from the ascending ids
+    on `local` (coordinates relative to the cloud's lowest corner)."""
+    tets, neighbors = _delaunay(jit[sel])
+    # rebinding frees qhull's slab ids before the radii (holding them raised
+    # lumbar_r25's peak RSS on two threads by ~5 MiB)
+    tets = sel.astype(np.int32)[tets]
+    radii, centers = _circumradii(local, np.sort(tets, axis=1))
+    return tets, neighbors, radii, centers
+
+
 def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     """(kept, faces) of one slab: the tetrahedra of the Delaunay build of
     jit[sel] with circumradius <= alpha and circumcentre in [lo, hi) along
@@ -286,32 +307,25 @@ def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     `_boundary_faces`.  Only these leave the worker."""
     if not _spans_3d(jit[sel]):   # no solid tetrahedron
         return np.zeros((0, 4), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
-    tets, neighbors = _delaunay(jit[sel])
-    # ids into `jit`, in qhull's vertex order so that neighbors[t, j] stays
-    # across from vertex j; rebinding frees qhull's slab ids before the radii
-    # (holding them raised lumbar_r25's peak RSS on two threads by ~5 MiB)
-    tets = sel.astype(np.int32)[tets]
-    # ascending ids on coordinates relative to the shell's corner: every
-    # slab that holds a tetrahedron computes the same floats
-    radii, centers = _circumradii(local, np.sort(tets, axis=1))
+    tets, neighbors, radii, centers = _triangulate(jit, local, sel)
     own = (radii <= alpha) & (centers[:, axis] >= lo) & (centers[:, axis] < hi)
     return np.sort(tets[own], axis=1), _boundary_faces(jit, tets, neighbors, own)
 
 
-def _slab_complex(points: np.ndarray, jit: np.ndarray, spacing, alpha: float,
-                  slabs: int):
+def _slab_complex(points: np.ndarray, jit: np.ndarray, alpha: float, slabs: int,
+                  spacing):
     """(kept, boundary): the kept tetrahedra at `alpha` of the Delaunay build
-    of `jit`, the jittered lattice points `points`, built in `slabs` slabs on
-    a thread pool (module docstring) as (K, 4) ascending int32 ids, and their
-    boundary triangles as `_boundary_faces` gives them."""
+    of `jit`, the jittered `points`, built in `slabs` slabs on a thread pool
+    (module docstring) as (K, 4) ascending int32 ids, and their boundary
+    triangles as `_boundary_faces` gives them.  Cuts need the lattice
+    `spacing`; a cloud without one (None) is built as one slab."""
     axis = int(np.argmax(np.ptp(points, axis=0)))
     origin = points.min(axis=0)
     local = jit - origin
-    step = float(spacing[axis])
     # lattice coordinates are (i + 1/2) step: cut at (i + 3/4) step
     x = np.sort(points[:, axis])
-    cuts = np.unique(x[len(x) * np.arange(1, slabs) // slabs] + 0.25 * step)
-    bounds = np.concatenate(([-np.inf], cuts - origin[axis], [np.inf]))
+    cuts = [x[len(x) * k // slabs] + 0.25 * spacing[axis] for k in range(1, slabs)]
+    bounds = np.concatenate(([-np.inf], np.unique(cuts) - origin[axis], [np.inf]))
     reach = alpha * (1.0 + _SLAB_SLACK)
     at = local[:, axis]
     jobs = [(np.flatnonzero((at >= lo - reach) & (at < hi + reach)), lo, hi)
@@ -330,14 +344,10 @@ def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", a, np.cross(b, c)) / 6.0
 
 
-def _face_components(tris: np.ndarray) -> np.ndarray:
-    """Connected-component id per face, via shared undirected edges."""
-    nf = len(tris)
-    key = _edge_keys(tris)
-    order = np.argsort(key, kind="stable")
-    sk = key[order]
+def _face_components(nf: int, order: np.ndarray, same: np.ndarray) -> np.ndarray:
+    """Connected-component id per face of `nf` faces, via the shared
+    undirected edges that `_edge_runs` found."""
     fo = order % nf   # side i belongs to face i % nf
-    same = sk[1:] == sk[:-1]
     fa, fb = fo[:-1][same], fo[1:][same]
     graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(nf, nf))
     _, comp = connected_components(graph, directed=False)
@@ -373,11 +383,11 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
     tris = index[boundary[shallow[boundary].any(axis=1)]]
     if len(tris) == 0:
         return None, "empty boundary"
-    counts = _edge_use_counts(tris)
+    order, same, counts = _edge_runs(tris)
     if not np.all(counts == 2):
         bad = int((counts != 2).sum())
         return None, f"{bad} edges not shared by exactly 2 triangles"
-    comp = _face_components(tris)
+    comp = _face_components(len(tris), order, same)
     vols = np.zeros(comp.max() + 1)
     np.add.at(vols, comp, _signed_volume_per_face(points, tris))
     vol_eps = 1e-9 * float(np.linalg.norm(
@@ -389,39 +399,16 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
     return (tris, comp, vols), None
 
 
-class _AlphaComplex:
-    """One Delaunay build of every point (tetrahedra, adjacency, circumradii
-    in qhull's order), which serves every alpha: "auto" and raw arrays."""
-
-    def __init__(self, points: np.ndarray):
-        _check_solid(points)
-        self.points = points
-        self.index = np.arange(len(points))
-        self.jit = _jittered(points)
-        self.tets, self.neighbors = _delaunay(self.jit)
-        self.radii = _circumradii(self.jit, self.tets)[0]
-        finite = self.radii[np.isfinite(self.radii)]
-        if finite.size == 0:
-            raise ReconstructionError("all tetrahedra are degenerate")
-        self.candidates = np.unique(finite)
-
-    def evaluate(self, alpha: float):
-        """`_surface` of the tetrahedra with circumradius <= alpha."""
-        keep = self.radii <= alpha
-        boundary = _boundary_faces(self.jit, self.tets, self.neighbors, keep)
-        return _surface(self.points, self.index, np.ones(len(self.points), dtype=bool),
-                        self.tets[keep], boundary)
-
-
 def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     """Reconstruct the closed external surface of a point cloud.
 
-    `alpha` is a finite positive radius in mm, or "auto".  "auto" binary
-    searches the sorted tetrahedron circumradii for one whose boundary is a
-    closed manifold enclosing all input points, and returns a circumradius
-    that passes while the next smaller one fails (or the smallest one).  The
-    search assumes that passing is monotone in alpha, which it is not, so a
-    smaller circumradius can also pass: on seed 1 of the `stack_auto`
+    `alpha` is a finite positive radius in mm, or "auto".  "auto" triangulates
+    every point once and binary searches the sorted tetrahedron circumradii
+    for one whose boundary is a closed manifold enclosing all input points,
+    and returns a circumradius that passes while the next smaller one fails
+    (or the smallest one); that number as a numeric alpha gives the same mesh.
+    The search assumes that passing is monotone in alpha, which it is not, so
+    a smaller circumradius can also pass: on seed 1 of the `stack_auto`
     benchmark spine it returns 4.44 and 6.36 mm for two vertebrae where
     0.866 mm passes (ROADMAP item 1).
     Interior boundary components (cavities) are discarded and counted on the
@@ -434,8 +421,8 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     tetrahedron spans at most 2 alpha (module docstring).  That shell is
     triangulated in 3 slabs per CPU of the affinity mask, on one thread per
     CPU; a kept tetrahedron has its circumcentre in exactly one slab, so the
-    result does not depend on the slab count.  "auto" and raw point arrays
-    use one build of every point.
+    result does not depend on the slab count.  A raw point array with a
+    numeric alpha is one slab of every point.
     """
     if alpha != AUTO and not 0 < float(alpha) < np.inf:
         raise ReconstructionError(
@@ -444,17 +431,29 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
         pts, spacing = np.asarray(points.points, dtype=float), points.spacing
     else:
         pts, spacing = np.asarray(points, dtype=float), None
+    _check_solid(pts)
     if alpha == AUTO:
-        complex_ = _AlphaComplex(pts)
-        cand = complex_.candidates
+        # every point, all shallow, in one slab with bounds (-inf, inf)
+        index, shallow = np.arange(len(pts)), np.ones(len(pts), dtype=bool)
+        jit = _jittered(pts)
+        tets, neighbors, radii, _ = _triangulate(jit, jit - pts.min(axis=0), index)
+        cand = np.unique(radii[np.isfinite(radii)])
+        if cand.size == 0:
+            raise ReconstructionError("all tetrahedra are degenerate")
+
+        def evaluate(at: float):
+            keep = radii <= at
+            return _surface(pts, index, shallow, tets[keep],
+                            _boundary_faces(jit, tets, neighbors, keep))
+
         lo, hi = 0, len(cand) - 1
-        result, reason = complex_.evaluate(cand[hi])
+        result, reason = evaluate(cand[hi])
         if result is None:
             raise ReconstructionError(
                 f"no alpha yields a closed manifold enclosing all points: {reason}")
         while lo < hi:
             mid = (lo + hi) // 2
-            mid_result, _ = complex_.evaluate(cand[mid])
+            mid_result, _ = evaluate(cand[mid])
             if mid_result is not None:
                 hi = mid
                 result = mid_result
@@ -463,15 +462,11 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
         alpha_used = float(cand[hi])
     else:
         alpha_used = float(alpha)
-        if spacing is None:
-            result, reason = _AlphaComplex(pts).evaluate(alpha_used)
-        else:
-            _check_solid(pts)
-            index, shallow = _shell(pts, spacing, alpha_used)
-            jit = _jittered(pts)[index]
-            kept, boundary = _slab_complex(pts[index], jit, spacing, alpha_used,
-                                           _SLABS_PER_WORKER * _workers())
-            result, reason = _surface(pts, index, shallow, kept, boundary)
+        index, shallow = _shell(pts, spacing, alpha_used)
+        slabs = 1 if spacing is None else _SLABS_PER_WORKER * _workers()
+        kept, boundary = _slab_complex(pts[index], _jittered(pts)[index],
+                                       alpha_used, slabs, spacing)
+        result, reason = _surface(pts, index, shallow, kept, boundary)
         if result is None:
             raise ReconstructionError(
                 f"alpha={alpha_used:g} does not yield a closed manifold "

@@ -14,9 +14,9 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.alpha_mesh import (_AlphaComplex, _boundary_faces, _edge_use_counts,
+from spinekit.alpha_mesh import (_boundary_faces, _check_solid, _edge_runs,
                                  _face_components, _jittered, _shell,
-                                 _slab_complex, _surface)
+                                 _slab_complex, _surface, _triangulate)
 from spinekit.errors import MeshContractError, ReconstructionError
 
 from conftest import (edge_face_components, euler_characteristic, perfbench_spine,
@@ -179,25 +179,50 @@ def test_empty_mesh_is_open():
         sk.mesh_metrics(empty)
 
 
-def _assert_boundary_matches_reference(complex_, alpha):
+def _whole_build(points) -> SimpleNamespace:
+    """One triangulation of every point through the routine every build
+    shares, with no shell and no cut: the reference the boundary and shell
+    tests compare against."""
+    points = np.asarray(points, dtype=float)
+    _check_solid(points)
+    jit = _jittered(points)
+    index = np.arange(len(points))
+    tets, neighbors, radii, _ = _triangulate(jit, jit - points.min(axis=0), index)
+    return SimpleNamespace(points=points, index=index, jit=jit, tets=tets,
+                           neighbors=neighbors, radii=radii,
+                           candidates=np.unique(radii[np.isfinite(radii)]))
+
+
+def _evaluate(whole: SimpleNamespace, alpha: float):
+    """`_surface` of the whole build's tetrahedra of circumradius <= alpha."""
+    keep = whole.radii <= alpha
+    boundary = _boundary_faces(whole.jit, whole.tets, whole.neighbors, keep)
+    return _surface(whole.points, whole.index, np.ones(len(whole.index), dtype=bool),
+                    whole.tets[keep], boundary)
+
+
+def _assert_boundary_matches_reference(whole, alpha):
     """Adjacency boundary == sorted-face reference, row for row, and the
-    edge and component helpers agree with their sort-based references."""
-    keep = complex_.radii <= alpha
-    tris = _boundary_faces(complex_.jit, complex_.tets, complex_.neighbors, keep)
-    ref = sorted_boundary_faces(complex_.jit, complex_.tets, keep)
+    edge-use counts and face components read off one sort of the edge keys
+    agree with their sort-based references."""
+    keep = whole.radii <= alpha
+    tris = _boundary_faces(whole.jit, whole.tets, whole.neighbors, keep)
+    ref = sorted_boundary_faces(whole.jit, whole.tets, keep)
     assert tris.shape == ref.shape
     assert np.array_equal(tris, ref)
     if len(tris) == 0:
         return
     edges, counts = undirected_edges(ref)
-    assert np.array_equal(_edge_use_counts(tris), counts)
-    mesh = sk.TriangleMesh(vertices=complex_.points, triangles=tris)
-    assert euler_characteristic(mesh) == len(complex_.points) - len(edges) + len(ref)
-    assert np.array_equal(_face_components(tris), edge_face_components(ref))
+    order, same, runs = _edge_runs(tris)
+    assert np.array_equal(runs, counts)
+    mesh = sk.TriangleMesh(vertices=whole.points, triangles=tris)
+    assert euler_characteristic(mesh) == len(whole.points) - len(edges) + len(ref)
+    assert np.array_equal(_face_components(len(tris), order, same),
+                          edge_face_components(ref))
 
 
-def _alphas(complex_, fractions):
-    cand = complex_.candidates
+def _alphas(whole, fractions):
+    cand = whole.candidates
     picked = [cand[min(int(f * len(cand)), len(cand) - 1)] for f in fractions]
     return [0.0, np.inf, *picked]
 
@@ -217,11 +242,12 @@ def test_boundary_faces_match_sorted_reference(kind, n, seed, fractions):
                                         (5, 5, 5)), axis=1)
         points = (ijk + 0.5) * np.asarray(kind)
     try:
-        complex_ = _AlphaComplex(points)
+        whole = _whole_build(points)
     except ReconstructionError:
         assume(False)
-    for alpha in _alphas(complex_, fractions):
-        _assert_boundary_matches_reference(complex_, alpha)
+    assume(len(whole.candidates) > 0)   # not every tetrahedron degenerate
+    for alpha in _alphas(whole, fractions):
+        _assert_boundary_matches_reference(whole, alpha)
 
 
 @pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
@@ -229,9 +255,9 @@ def test_phantom_boundary_faces_match_sorted_reference(fixture, request):
     value = request.getfixturevalue(fixture)
     points = (value if fixture == "sphere_points"
               else sk.extract_label_points(value[0], 1))
-    complex_ = _AlphaComplex(np.asarray(points.points))
-    for alpha in _alphas(complex_, (0.1, 0.5, 0.9)) + [points.voxel_diagonal]:
-        _assert_boundary_matches_reference(complex_, alpha)
+    whole = _whole_build(points.points)
+    for alpha in _alphas(whole, (0.1, 0.5, 0.9)) + [points.voxel_diagonal]:
+        _assert_boundary_matches_reference(whole, alpha)
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, float("inf")])
@@ -263,9 +289,10 @@ def _outcome(points, alpha):
 
 
 def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
-    """The slab builds of `cloud`'s shell at 1 to 6 slabs equal one full
-    build of its raw points: the surface's triangles, components, volumes
-    and failure reason, and the returned mesh or error.  Each slab build's
+    """The slab builds of `cloud`'s shell at 1 to 6 slabs equal one
+    triangulation of every point (`_whole_build`): the surface's triangles,
+    components, volumes and failure reason; and the returned mesh or error
+    equals that of its raw points, one slab with no shell.  Each slab build's
     boundary also equals face counting over its kept tetrahedra, a rule
     that shares no code with the adjacency both builds read.  Tetrahedra
     are not compared, as qhull may fill a near-cospherical lattice cube
@@ -273,12 +300,12 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     out."""
     index, shallow = _shell(cloud.points, cloud.spacing, alpha)
     jit = _jittered(cloud.points)[index]
-    full = _AlphaComplex(cloud.points)
+    full = _whole_build(cloud.points)
     assert len(full.index) == len(cloud)
-    f_res, f_why = full.evaluate(alpha)
+    f_res, f_why = _evaluate(full, alpha)
     for slabs in range(1, 7):
-        kept, boundary = _slab_complex(cloud.points[index], jit, cloud.spacing,
-                                       alpha, slabs)
+        kept, boundary = _slab_complex(cloud.points[index], jit, alpha, slabs,
+                                       cloud.spacing)
         # each kept tetrahedron has exactly one owning slab
         assert len(np.unique(kept, axis=0)) == len(kept)
         # the boundary by counting faces, independent of any adjacency
@@ -367,6 +394,34 @@ def test_workload_vertebrae_shell_matches_full_build():
     for label in truth.levels:
         cloud = sk.extract_label_points(volume, label)
         assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal) > 0
+
+
+# --------------------------------------- numeric alpha at the answer of auto
+
+def _assert_numeric_alpha_rebuilds_auto(cloud: sk.PointCloud) -> None:
+    """`auto`'s alpha_used, passed back as a numeric alpha on the point
+    cloud (shell and slabs) and on its raw points (one slab), gives the
+    `auto` mesh exactly: every build computes a tetrahedron's radius alike."""
+    auto = sk.build_alpha_shape(cloud, "auto")
+    for points in (cloud, cloud.points):
+        mesh = sk.build_alpha_shape(points, auto.alpha_used)
+        assert mesh.alpha_used == auto.alpha_used
+        assert np.array_equal(mesh.vertices, auto.vertices)
+        assert np.array_equal(mesh.triangles, auto.triangles)
+        assert (mesh.cavities_discarded, mesh.n_components) == (
+            auto.cavities_discarded, auto.n_components)
+
+
+def test_numeric_alpha_at_auto_answer_rebuilds_compound_mesh():
+    volume, _ = sk.make_compound_vertebra(14.0, 2.5, 4.0, (1.0, 1.0, 1.0), 1)
+    _assert_numeric_alpha_rebuilds_auto(sk.extract_label_points(volume, 1))
+
+
+def test_numeric_alpha_at_auto_answer_rebuilds_workload_meshes():
+    spine = perfbench_spine()
+    volume, _ = spine.build_spine(spine.WORKLOADS["stack_auto"], 1)
+    for label in (1, 3):
+        _assert_numeric_alpha_rebuilds_auto(sk.extract_label_points(volume, label))
 
 
 # ------------------------------------------------- slabs on worker threads
@@ -464,12 +519,14 @@ def test_sole_faces_count_ids_beyond_an_int64_cube_key():
 
 def test_auto_build_leaves_scipy_ndimage_unimported():
     # `_shell` imports the EDT lazily; only a numeric alpha on a point cloud
-    # needs it
+    # needs it, not "auto" nor the one-slab build of a raw point array
     script = (
         "import sys, spinekit as sk\n"
         "v = sk.make_sphere_phantom(10.0, (1.0, 1.0, 1.0), 100, 0, 1)\n"
         "points = sk.extract_label_points(v, 1)\n"
         "sk.build_alpha_shape(points, alpha='auto')\n"
+        "print('scipy.ndimage' in sys.modules)\n"
+        "sk.build_alpha_shape(points.points, alpha=points.voxel_diagonal)\n"
         "print('scipy.ndimage' in sys.modules)\n"
         "sk.build_alpha_shape(points, alpha=points.voxel_diagonal)\n"
         "print('scipy.ndimage' in sys.modules)\n")
@@ -478,4 +535,4 @@ def test_auto_build_leaves_scipy_ndimage_unimported():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["False", "True"]
+    assert proc.stdout.split() == ["False", "False", "True"]

@@ -347,6 +347,27 @@ def test_cli_phantom_and_run(tmp_path):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+def test_cli_numeric_alpha_at_auto_answer_writes_auto_outputs(tmp_path):
+    # the alpha that `--alpha auto` reports, given back as a number, builds
+    # the same surfaces and so writes the same PLY and CSV bytes
+    volume, _ = sk.make_compound_vertebra(14.0, 2.5, 4.0, (1.0, 1.0, 1.0), 1)
+    desc = str(sk.write_volume(volume, tmp_path / "in"))
+    assert main(["run", "--input", desc, "--out", str(tmp_path / "auto"),
+                 "--alpha", "auto"]) == 0
+    report = json.loads((tmp_path / "auto" / "report.json").read_text())
+    [record] = report["vertebrae"]
+    assert main(["run", "--input", desc, "--out", str(tmp_path / "numeric"),
+                 "--alpha", repr(record["alpha_used"])]) == 0
+    names = sorted(p.name for p in (tmp_path / "auto").iterdir()
+                   if p.suffix in (".ply", ".csv"))
+    assert names == sorted(p.name for p in (tmp_path / "numeric").iterdir()
+                           if p.suffix in (".ply", ".csv"))
+    assert "vertebra_01_regions.ply" in names
+    for name in names:
+        assert ((tmp_path / "auto" / name).read_bytes()
+                == (tmp_path / "numeric" / name).read_bytes()), name
+
+
 def test_cli_phantom_malformed_spec_exits_2(tmp_path, capsys):
     for i, bad in enumerate(({"spacing_mm": [float("nan"), 1, 1]},
                              {"radius_mm": float("nan")}, {"radius_mm": "5"})):
