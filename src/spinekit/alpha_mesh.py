@@ -70,7 +70,8 @@ adjacency.  If the slab tetrahedron across face f of such a t is owned and
 kept too, it is t's kept neighbor in the whole shell, and f is interior.
 Otherwise f is on the whole boundary, or the kept tetrahedron across it is
 owned by one other slab (here it would be t's neighbor), which emits f too,
-so `_sole_faces` in the merge drops exactly the faces between slabs.
+so `_sole_faces` in `_surface` drops exactly the faces between slabs.  Faces
+turn outward by parity, from `_circumradii`'s determinant (`_boundary_faces`).
 
 qhull is not exactly Delaunay where points are nearly cospherical, so a slab
 could fill such a set with other tetrahedra than a build of every point;
@@ -93,7 +94,7 @@ from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import MeshContractError, ReconstructionError
-from .volume_io import PointCloud, mm_to_index
+from .volume_io import PointCloud, is_positive_real, mm_to_index
 
 _JITTER_SEED = 0x5EB8A
 _JITTER_REL = 1e-6
@@ -111,7 +112,6 @@ class TriangleMesh:
     triangles: np.ndarray         # (T, 3) int, outward-oriented
     alpha_used: float = float("nan")
     cavities_discarded: int = 0   # interior boundary components dropped
-    n_components: int = 1         # outer boundary components kept
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -225,8 +225,8 @@ def _delaunay(points: np.ndarray):
 
 
 def _circumradii(pts: np.ndarray, tets: np.ndarray):
-    """(radii, centres) per tetrahedron; near-singular cells get radius +inf
-    and a NaN centre."""
+    """(radii, centres, det(b - a, c - a, d - a) > 0) per tetrahedron
+    (a, b, c, d); near-singular cells get radius +inf and a NaN centre."""
     a = pts[tets[:, 0]]
     m = pts[tets[:, 1:]] - a[:, None, :]   # rows b - a, c - a, d - a
     m *= 2.0
@@ -241,46 +241,40 @@ def _circumradii(pts: np.ndarray, tets: np.ndarray):
     centers[~good] = np.nan
     radii = np.linalg.norm(centers - a, axis=1)
     radii[~good] = np.inf
-    return radii, centers
+    return radii, centers, det > 0
 
 
 # face j of a tetrahedron is the one opposite its vertex j
 _FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
-def _outward(jit: np.ndarray, tris: np.ndarray, opposite: np.ndarray):
-    """`tris` (ascending vertices) with their last two vertices swapped where
-    a triangle faces its tetrahedron's `opposite` vertex, so each starts at
-    its smallest vertex and faces away from its tetrahedron."""
-    d = jit[opposite]
-    a, b, c = jit[tris[:, 0]], jit[tris[:, 1]], jit[tris[:, 2]]
-    # jittered coords are never degenerate, so the sign is reliable
-    flip = np.einsum("ij,ij->i", np.cross(b - a, c - a), d - a) > 0
+def _boundary_faces(positive: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
+                    keep: np.ndarray):
+    """Boundary triangles of the union of kept tetrahedra, unpaired and
+    unsorted, each from its smallest vertex and facing away from its
+    tetrahedron.
+
+    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
+    hull (the -1 lookup into `keep` is masked by the first test).  Face j in
+    ascending order, then vertex j, is t's ascending ids after 3 - k swaps,
+    k the rank of vertex j; so the face turns toward vertex j, and has its
+    last two vertices swapped, iff `positive[t]` equals `k is odd`.
+    """
+    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
+    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
+    rank = (tris < tets[t, j][:, None]).sum(axis=1)
+    flip = positive[t] == (rank % 2 == 1)
     tris[flip] = tris[flip][:, [0, 2, 1]]
     return tris
 
 
-def _boundary_faces(jit: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
-                    keep: np.ndarray):
-    """Oriented boundary triangles of the union of kept tetrahedra (`_outward`),
-    sorted by their sorted-vertex key, whatever order qhull listed each
-    tetrahedron in.
-
-    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
-    hull (the -1 lookup into `keep` is masked by the first test).
-    """
-    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
-    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
-    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
-    return _outward(jit, tris[order], tets[t, j][order])
-
-
 def _sole_faces(tris: np.ndarray) -> np.ndarray:
-    """Positions of the rows of `tris` (ascending vertex ids) whose vertex
-    set occurs once, in ascending order of that set: the faces left after
-    pairing those that two slabs share across a cut."""
-    order = np.lexsort((tris[:, 2], tris[:, 1], tris[:, 0]))
-    rows = tris[order]
+    """Positions of the rows of `tris` whose vertex set occurs once, in
+    ascending order of that set: the faces left after pairing those that two
+    slabs share across a cut."""
+    key = np.sort(tris, axis=1)
+    order = np.lexsort((key[:, 2], key[:, 1], key[:, 0]))
+    rows = key[order]
     # new[i]: sorted row i starts a run of equal rows (new[-1]: the end)
     new = np.ones(len(rows) + 1, dtype=bool)
     new[1:-1] = np.any(rows[1:] != rows[:-1], axis=1)
@@ -288,16 +282,16 @@ def _sole_faces(tris: np.ndarray) -> np.ndarray:
 
 
 def _triangulate(jit, local, sel):
-    """(tets, neighbors, radii, centers) of the Delaunay build of jit[sel]:
-    ids into `jit` (int32) in qhull's vertex order, so that neighbors[t, j]
-    stays across from vertex j, and radii and centres from the ascending ids
-    on `local` (coordinates relative to the cloud's lowest corner)."""
+    """(tets, neighbors, radii, centers, positive) of the Delaunay build of
+    jit[sel]: ids into `jit` (int32) in qhull's vertex order, so that
+    neighbors[t, j] stays across from vertex j, and the `_circumradii` of
+    the ascending ids on `local` (relative to the cloud's lowest corner)."""
     tets, neighbors = _delaunay(jit[sel])
     # rebinding frees qhull's slab ids before the radii (holding them raised
     # lumbar_r25's peak RSS on two threads by ~5 MiB)
     tets = sel.astype(np.int32)[tets]
-    radii, centers = _circumradii(local, np.sort(tets, axis=1))
-    return tets, neighbors, radii, centers
+    radii, centers, positive = _circumradii(local, np.sort(tets, axis=1))
+    return tets, neighbors, radii, centers, positive
 
 
 def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
@@ -307,18 +301,18 @@ def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
     `_boundary_faces`.  Only these leave the worker."""
     if not _spans_3d(jit[sel]):   # no solid tetrahedron
         return np.zeros((0, 4), dtype=np.int32), np.zeros((0, 3), dtype=np.int32)
-    tets, neighbors, radii, centers = _triangulate(jit, local, sel)
+    tets, neighbors, radii, centers, positive = _triangulate(jit, local, sel)
     own = (radii <= alpha) & (centers[:, axis] >= lo) & (centers[:, axis] < hi)
-    return np.sort(tets[own], axis=1), _boundary_faces(jit, tets, neighbors, own)
+    return np.sort(tets[own], axis=1), _boundary_faces(positive, tets, neighbors, own)
 
 
 def _slab_complex(points: np.ndarray, jit: np.ndarray, alpha: float, slabs: int,
                   spacing):
     """(kept, boundary): the kept tetrahedra at `alpha` of the Delaunay build
     of `jit`, the jittered `points`, built in `slabs` slabs on a thread pool
-    (module docstring) as (K, 4) ascending int32 ids, and their boundary
-    triangles as `_boundary_faces` gives them.  Cuts need the lattice
-    `spacing`; a cloud without one (None) is built as one slab."""
+    (module docstring) as (K, 4) ascending int32 ids, and every slab's
+    `_boundary_faces`, unpaired.  Cuts need the lattice `spacing`; a cloud
+    without one (None) is built as one slab."""
     axis = int(np.argmax(np.ptp(points, axis=0)))
     origin = points.min(axis=0)
     local = jit - origin
@@ -334,9 +328,7 @@ def _slab_complex(points: np.ndarray, jit: np.ndarray, alpha: float, slabs: int,
         parts = list(pool.map(
             lambda job: _slab_tets(jit, local, job[0], axis, job[1], job[2], alpha),
             jobs))
-    kept, faces = (np.concatenate(part) for part in zip(*parts))
-    # a face between two slabs came once from each side
-    return kept, faces[_sole_faces(np.sort(faces, axis=1))]
+    return tuple(np.concatenate(part) for part in zip(*parts))
 
 
 def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -371,8 +363,9 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
     components and their signed volumes, or (None, reason) if it is not a
     closed manifold enclosing every input point.
 
-    `kept` and `boundary` hold positions in `index`, the triangulated points;
-    `shallow` marks those that must lie in the complex (`_shell`).
+    `kept` and `boundary` (`_boundary_faces`, unpaired; paired and sorted
+    here) hold positions in `index`, the triangulated points; `shallow`
+    marks those that must lie in the complex (`_shell`).
     """
     used = np.zeros(len(index), dtype=bool)
     used[kept.ravel()] = True
@@ -380,7 +373,8 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
     if outside:
         return None, f"{outside} points left outside the complex"
     # the wall of the pruned hollow: no shallow vertex
-    tris = index[boundary[shallow[boundary].any(axis=1)]]
+    faces = boundary[shallow[boundary].any(axis=1)]
+    tris = index[faces[_sole_faces(faces)]]
     if len(tris) == 0:
         return None, "empty boundary"
     order, same, counts = _edge_runs(tris)
@@ -424,7 +418,7 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     result does not depend on the slab count.  A raw point array with a
     numeric alpha is one slab of every point.
     """
-    if alpha != AUTO and not 0 < float(alpha) < np.inf:
+    if alpha != AUTO and not is_positive_real(alpha):
         raise ReconstructionError(
             f"alpha must be finite and positive or 'auto', got {alpha}")
     if isinstance(points, PointCloud):
@@ -436,7 +430,8 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
         # every point, all shallow, in one slab with bounds (-inf, inf)
         index, shallow = np.arange(len(pts)), np.ones(len(pts), dtype=bool)
         jit = _jittered(pts)
-        tets, neighbors, radii, _ = _triangulate(jit, jit - pts.min(axis=0), index)
+        tets, neighbors, radii, _, positive = _triangulate(
+            jit, jit - pts.min(axis=0), index)
         cand = np.unique(radii[np.isfinite(radii)])
         if cand.size == 0:
             raise ReconstructionError("all tetrahedra are degenerate")
@@ -444,7 +439,7 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
         def evaluate(at: float):
             keep = radii <= at
             return _surface(pts, index, shallow, tets[keep],
-                            _boundary_faces(jit, tets, neighbors, keep))
+                            _boundary_faces(positive, tets, neighbors, keep))
 
         lo, hi = 0, len(cand) - 1
         result, reason = evaluate(cand[hi])
@@ -473,9 +468,8 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
                 f"enclosing all points: {reason}")
 
     tris, comp, vols = result
-    outer = np.nonzero(vols > 0)[0]
     cavities = int((vols < 0).sum())
-    tris = tris[np.isin(comp, outer)]
+    tris = tris[vols[comp] > 0]
 
     used = np.unique(tris)
     remap = np.zeros(len(pts), dtype=np.int64)
@@ -483,8 +477,7 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     return TriangleMesh(vertices=pts[used].copy(),
                         triangles=remap[tris],
                         alpha_used=alpha_used,
-                        cavities_discarded=cavities,
-                        n_components=len(outer))
+                        cavities_discarded=cavities)
 
 
 def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:

@@ -59,7 +59,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .errors import DegenerateDistributionError, ThresholdFailureError
-from .volume_io import centroid_mm
+from .volume_io import centroid_mm, is_positive_real
 
 _SQRT2PI = np.sqrt(2.0 * np.pi)
 _GRID_POINTS = 4096  # abscissae of the one sampled density curve
@@ -248,6 +248,9 @@ def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
             f"need at least 10 distance samples, got {len(values)}")
     if np.std(values) == 0.0:
         raise DegenerateDistributionError("distance samples have zero variance")
+    for name, given in (("bandwidth", bandwidth), ("min_bandwidth", min_bandwidth)):
+        if given is not None and not is_positive_real(given):
+            raise DegenerateDistributionError(f"{name} must be finite and positive")
     h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(values)
     if min_bandwidth is not None and bandwidth is None:
         h = max(h, float(min_bandwidth))

@@ -171,14 +171,6 @@ def _warn(warnings: list[dict], kind: str, message: str, **keys) -> None:
     logger.warning("%s: %s", kind, message)
 
 
-def _resolve_alpha(cfg_alpha, points):
-    if cfg_alpha is None:
-        return points.voxel_diagonal
-    if cfg_alpha == AUTO:
-        return AUTO
-    return float(cfg_alpha)
-
-
 def _process_vertebra(volume, label, cfg, warnings):
     rec = {
         "label": int(label), "alpha_used": None, "area_mm2": None,
@@ -189,7 +181,8 @@ def _process_vertebra(volume, label, cfg, warnings):
     flags = rec["flags"]
 
     points = extract_label_points(volume, label)
-    mesh = build_alpha_shape(points, alpha=_resolve_alpha(cfg.alpha, points))
+    # cfg.alpha is None (the voxel diagonal), "auto" or a positive real
+    mesh = build_alpha_shape(points, alpha=cfg.alpha or points.voxel_diagonal)
     if mesh.cavities_discarded:
         flags.append("interior_components_discarded")
     met = mesh_metrics(mesh)

@@ -255,14 +255,14 @@ def load_volume(descriptor_path) -> LabeledVolume:
     """Load a LabeledVolume from a JSON descriptor.
 
     Descriptor keys: dims (3 integers of at least 1), spacing_mm (3 finite
-    numbers above 0), hu_file, label_file, centroid_file.  File paths are
-    resolved relative to the descriptor location.  Each raw file must hold
-    exactly prod(dims) voxels; `hu` and `labels` are read-only memory maps of
-    them, so truncating a file while the volume is in use kills the process
-    with SIGBUS.  The label index is built here, from the label file read in
-    whole z planes.  Centroid annotations whose label has no voxels do not
-    fail the load; the volume's `orphan_centroids` derives them from the
-    labels (warning level).
+    numbers above 0), and the path strings hu_file, label_file and optional
+    centroid_file (of a JSON array), relative to the descriptor location.
+    Each raw file must hold exactly prod(dims) voxels; `hu` and `labels` are
+    read-only memory maps of them, so truncating a file while the volume is
+    in use kills the process with SIGBUS.  The label index is built here,
+    from the label file read in whole z planes.  Centroid annotations whose
+    label has no voxels do not fail the load; the volume's
+    `orphan_centroids` derives them from the labels (warning level).
     """
     descriptor_path = Path(descriptor_path)
     try:
@@ -279,6 +279,9 @@ def load_volume(descriptor_path) -> LabeledVolume:
         raise DescriptorError(f"descriptor {descriptor_path} is malformed: {exc}") from exc
     if not (isinstance(dims, list) and isinstance(spacing, list)):
         raise DescriptorError("dims and spacing_mm must be JSON arrays")
+    if not (isinstance(hu_file, str) and isinstance(label_file, str)
+            and isinstance(centroid_file, (str, type(None)))):
+        raise DescriptorError("hu_file, label_file and centroid_file must be strings")
     _check_grid(dims, spacing)
     dims, spacing = tuple(dims), tuple(float(s) for s in spacing)
 
@@ -292,6 +295,8 @@ def load_volume(descriptor_path) -> LabeledVolume:
             entries = json.loads((base / centroid_file).read_text())
         except (OSError, json.JSONDecodeError) as exc:
             raise DescriptorError(f"cannot parse centroid file: {exc}") from exc
+        if not isinstance(entries, list):
+            raise DescriptorError("centroid file must hold a JSON array")
         for entry in entries:
             try:
                 lab = int(entry["label"])

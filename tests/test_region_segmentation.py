@@ -109,6 +109,15 @@ def test_estimate_density_too_few_samples_error():
         sk.estimate_density(_as_samples([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("name", ["bandwidth", "min_bandwidth"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1.0", 0.0, -1.0])
+def test_estimate_density_rejects_bad_bandwidths(name, value):
+    # the rule `PipelineConfig` applies: a finite real above 0, not a bool
+    values = np.random.default_rng(0).normal(10.0, 2.0, 200)
+    with pytest.raises(DegenerateDistributionError, match="must be finite and positive"):
+        sk.estimate_density(_as_samples(values), **{name: value})
+
+
 def test_density_grid_and_normalization(compound, compound_mesh):
     volume, _ = compound
     samples = sk.distance_distribution(compound_mesh, volume.centroids[1])

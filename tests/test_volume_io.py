@@ -101,6 +101,22 @@ def test_raw_path_is_directory_error(tmp_path):
         sk.load_volume(_raw_descriptor(tmp_path, (2, 2, 2)))
 
 
+@pytest.mark.parametrize("key, value", [("centroid_file", "c.json"),   # holds 5
+                                        ("hu_file", 5),
+                                        ("centroid_file", ["x"])],
+                         ids=["centroid_json_5", "hu_file_5", "centroid_file_list"])
+def test_malformed_file_entries_error(tmp_path, key, value):
+    np.zeros(8, dtype=HU_DTYPE).tofile(tmp_path / "hu.raw")
+    np.zeros(8, dtype=LABEL_DTYPE).tofile(tmp_path / "lab.raw")
+    (tmp_path / "c.json").write_text("5")
+    path = _raw_descriptor(tmp_path, (2, 2, 2))
+    path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
+    with pytest.raises(DescriptorError):
+        sk.load_volume(path)
+    assert report_cli.main(["run", "--input", str(path),
+                            "--out", str(tmp_path / "out")]) == 2
+
+
 def test_descriptor_parse_failure(tmp_path):
     path = tmp_path / "volume.json"
     path.write_text("{not json")
