@@ -215,7 +215,7 @@ def interspace_voxel_stats(volume: LabeledVolume,
     sel = ijk[background]
     if len(sel) == 0:
         return InterspaceVoxelStats(None, 0, 0, excluded)
-    hu = volume.hu[sel[:, 0], sel[:, 1], sel[:, 2]]
+    hu = volume.hu_at(sel[:, 0], sel[:, 1], sel[:, 2])
     hu_sum = int(hu.sum(dtype=np.int64))
     return InterspaceVoxelStats(hu_mean=hu_sum / len(sel), hu_sum=hu_sum,
                                 voxel_count=len(sel), excluded_count=excluded)

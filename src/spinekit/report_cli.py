@@ -24,9 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .alpha_mesh import AUTO, build_alpha_shape, mesh_metrics
-from .errors import (DegenerateDistributionError, ExtractionError,
-                     MappingError, PhantomSpecError, RoiTooSmallError,
-                     SpineKitError, ThresholdFailureError)
+from .errors import (DegenerateDistributionError, DescriptorError,
+                     ExtractionError, MappingError, PhantomSpecError,
+                     RoiTooSmallError, SpineKitError, ThresholdFailureError)
 from .interspace import (build_interspace, facing_vertices, filter_body,
                          interspace_voxel_stats)
 from .phantom import phantom_from_spec
@@ -305,11 +305,11 @@ def _process_pair(volume, lo, hi, arts, warnings):
         return None, None
     try:
         mesh = build_interspace(alo.mesh, ahi.mesh, fa, fb)
-    except ExtractionError as exc:
+        stats = interspace_voxel_stats(volume, mesh)
+    except (ExtractionError, DescriptorError) as exc:   # the HU file shrank
         _warn(warnings, "interspace_failed", f"pair ({lo},{hi}): {exc}",
               label_lo=int(lo), label_hi=int(hi))
         return None, None
-    stats = interspace_voxel_stats(volume, mesh)
     flags = []
     if stats.excluded_count:
         flags.append("labeled_voxels_excluded")

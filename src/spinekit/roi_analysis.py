@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RoiTooSmallError
-from .volume_io import LabeledVolume, centroid_mm
+from .volume_io import LabeledVolume, centroid_mm, is_positive_real
 
 
 @dataclass(frozen=True)
@@ -43,8 +43,9 @@ def max_inscribed_radius(mesh, centroid, voxel_diag: float) -> float:
 
 def roi_stats(volume: LabeledVolume, centroid, radius: float) -> RoiStats:
     """HU mean and sum over voxels whose centroids lie in the closed ball."""
-    if radius <= 0:
-        raise RoiTooSmallError(f"radius must be positive, got {radius}")
+    if not is_positive_real(radius):
+        raise RoiTooSmallError(f"radius must be a positive finite number, got {radius}")
+    radius = float(radius)   # so radius * radius may round to inf without a warning
     c = centroid_mm(centroid)
     spacing = np.asarray(volume.spacing)
     lo, hi = volume.voxel_box(c - radius, c + radius)
@@ -56,8 +57,9 @@ def roi_stats(volume: LabeledVolume, centroid, radius: float) -> RoiStats:
     mask = d2 <= radius * radius
     if not mask.any():
         raise RoiTooSmallError("ROI sphere contains no voxel centroids")
-    hu = volume.hu[lo[0]:hi[0], lo[1]:hi[1], lo[2]:hi[2]][mask]
+    i, j, k = np.nonzero(mask)
+    hu = volume.hu_at(i + lo[0], j + lo[1], k + lo[2])
     hu_sum = int(hu.sum(dtype=np.int64))
     count = int(mask.sum())
-    return RoiStats(radius=float(radius), voxel_count=count,
+    return RoiStats(radius=radius, voxel_count=count,
                     hu_mean=hu_sum / count, hu_sum=hu_sum)

@@ -78,7 +78,7 @@ def map_grey(mesh, volume: LabeledVolume, label: int,
         if not len(halo):
             raise MappingError(f"no voxel outside label {label} for external")
         src = halo[nearest_canonical(halo, src, volume.spacing)]
-    hu = volume.hu[src[:, 0], src[:, 1], src[:, 2]].astype(np.int64)
+    hu = volume.hu_at(src[:, 0], src[:, 1], src[:, 2]).astype(np.int64)
     return VertexTexture(hu=hu, criterion=name, source_voxel=src)
 
 

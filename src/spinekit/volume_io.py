@@ -8,10 +8,11 @@ in mm is ((i+0.5)*sx, (j+0.5)*sy, (k+0.5)*sz) with the origin at the volume
 corner; every module in the package relies on this single convention.
 
 `load_volume` maps both buffers read-only instead of copying them, and builds
-the label index by streaming the label file in whole z planes, so a loaded
-volume's HU pages are read only where a stage looks and its label map is never
-read at all: every label lookup goes through the index (`label_voxels`,
-`label_at`).
+the label index by streaming the label file in whole z planes.  No stage reads
+either map: every label lookup goes through the index (`label_voxels`,
+`label_at`), and every HU lookup through `hu_at`, which reads a loaded
+volume's HU file one z plane's span at a time, so the file's pages never stay
+in the process.  `write_volume` streams its buffers in blocks of z planes.
 """
 
 from __future__ import annotations
@@ -32,9 +33,9 @@ HU_DTYPE = np.dtype("<i2")
 LABEL_DTYPE = np.dtype("<u2")
 MAX_LABEL = 28   # vertebrae are labeled 1..28 (VerSe)
 
-# label-file bytes per streamed read of the index, rounded down to whole z
-# planes (at least one); bounds the load's transient memory
-_INDEX_CHUNK_BYTES = 4 << 20
+# raw-file bytes per streamed read of the label index or write of a buffer,
+# rounded down to whole z planes (at least one); bounds the transient memory
+_CHUNK_BYTES = 4 << 20
 
 
 @dataclass(frozen=True)
@@ -137,9 +138,10 @@ class LabeledVolume:
 
     Arrays are indexed [i, j, k] (x, y, z); a loaded volume's are read-only
     memory maps of its raw files.  Label queries are answered from one label
-    index (`label_voxels`, `label_at`), never from a scan of `labels`.
-    Instances are treated as immutable after construction and are safe for
-    concurrent reads.
+    index (`label_voxels`, `label_at`), never from a scan of `labels`, and HU
+    queries by `hu_at`, which reads a loaded volume's HU file rather than its
+    map.  Instances are treated as immutable after construction and are safe
+    for concurrent reads.
     """
 
     dims: tuple[int, int, int]
@@ -147,6 +149,7 @@ class LabeledVolume:
     hu: np.ndarray                # (nx, ny, nz) int16
     labels: np.ndarray            # (nx, ny, nz) uint16
     centroids: dict[int, CentroidAnnotation] = field(default_factory=dict)
+    _hu_file = None               # set by `load_volume`; read by `hu_at`
 
     def __post_init__(self):
         self.dims = tuple(int(d) for d in self.dims)
@@ -183,6 +186,36 @@ class LabeledVolume:
         pos = np.minimum(np.searchsorted(index.lin, lin), index.lin.size - 1)
         return np.where(index.lin[pos] == lin, index.values[pos], 0)
 
+    def hu_at(self, i, j, k) -> np.ndarray:
+        """HU of each voxel (i, j, k) of in-bounds index arrays (broadcast
+        together).  A loaded volume reads its HU file, for each z plane
+        queried the span from the first to the last queried voxel, and raises
+        DescriptorError when the file has shrunk since the load."""
+        if self._hu_file is None:
+            return self.hu[i, j, k]
+        lin = np.ravel_multi_index((i, j, k), self.dims, order="F")
+        if not lin.size:
+            return np.empty(lin.shape, HU_DTYPE)
+        order = np.argsort(lin, axis=None)
+        ordered = lin.ravel()[order]
+        # one read per z plane queried, of the span its queries cover
+        cuts = np.flatnonzero(np.diff(ordered // (self.dims[0] * self.dims[1]))) + 1
+        hu = np.empty(ordered.size, HU_DTYPE)
+        path = self._hu_file
+        try:
+            with open(path, "rb") as fh:
+                for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, ordered.size]):
+                    first = int(ordered[lo])
+                    count = int(ordered[hi - 1]) - first + 1
+                    fh.seek(first * HU_DTYPE.itemsize)
+                    span = np.fromfile(fh, dtype=HU_DTYPE, count=count)
+                    if span.size != count:
+                        raise DescriptorError(f"{path} shrank while it was read")
+                    hu[order[lo:hi]] = span[ordered[lo:hi] - first]
+        except OSError as exc:
+            raise DescriptorError(f"cannot read raw file {path}: {exc}") from exc
+        return hu.reshape(lin.shape)
+
     def present_labels(self) -> list[int]:
         """Nonzero labels with at least one voxel, ascending."""
         return list(self.label_voxels)
@@ -200,9 +233,10 @@ class LabeledVolume:
         """Per-axis index ranges [lo, hi) of the voxels whose centroids can lie
         in the mm box [lo_mm, hi_mm], clipped to the volume (may be empty)."""
         spacing = np.asarray(self.spacing)
-        lo = np.maximum(np.floor(lo_mm / spacing - 0.5).astype(int), 0)
-        hi = np.minimum(np.ceil(hi_mm / spacing - 0.5).astype(int) + 1,
-                        np.asarray(self.dims))
+        dims = np.asarray(self.dims)
+        # clipped before the cast, so any finite box casts exactly
+        lo = np.clip(np.floor(lo_mm / spacing - 0.5), 0, dims).astype(int)
+        hi = np.clip(np.ceil(hi_mm / spacing - 0.5) + 1, 0, dims).astype(int)
         return lo, hi
 
 
@@ -237,7 +271,7 @@ def _label_runs(path: Path, dims):
     """(start, flat labels) runs of whole z planes, read from the label file
     in turn."""
     plane = dims[0] * dims[1]
-    step = plane * max(1, _INDEX_CHUNK_BYTES // (plane * LABEL_DTYPE.itemsize))
+    step = plane * max(1, _CHUNK_BYTES // (plane * LABEL_DTYPE.itemsize))
     total = plane * dims[2]
     try:
         with open(path, "rb") as fh:
@@ -258,9 +292,11 @@ def load_volume(descriptor_path) -> LabeledVolume:
     numbers above 0), and the path strings hu_file, label_file and optional
     centroid_file (of a JSON array), relative to the descriptor location.
     Each raw file must hold exactly prod(dims) voxels; `hu` and `labels` are
-    read-only memory maps of them, so truncating a file while the volume is
-    in use kills the process with SIGBUS.  The label index is built here,
-    from the label file read in whole z planes.  Centroid annotations whose
+    read-only memory maps of them, which no stage reads: reading a map past
+    the end of a file truncated while the volume is in use kills the process
+    with SIGBUS.  The label index is built here, from the label file read in
+    whole z planes, and the HU file's path is kept for `hu_at`, whose reads
+    raise DescriptorError on a truncated file.  Centroid annotations whose
     label has no voxels do not fail the load; the volume's
     `orphan_centroids` derives them from the labels (warning level).
     """
@@ -316,23 +352,43 @@ def load_volume(descriptor_path) -> LabeledVolume:
     volume = LabeledVolume(dims=dims, spacing=spacing, hu=hu, labels=labels,
                            centroids=centroids)
     volume._label_index = _index_labels(_label_runs(base / label_file, dims))
+    volume._hu_file = base / hu_file
     return volume
+
+
+def _write_raw(path: Path, arr: np.ndarray, dtype: np.dtype) -> None:
+    """Write `arr` x-fastest as `dtype`, a block of whole z planes at a time."""
+    plane = arr.shape[0] * arr.shape[1]
+    step = max(1, _CHUNK_BYTES // (plane * dtype.itemsize))
+    with open(path, "wb") as fh:
+        for k in range(0, arr.shape[2], step):
+            block = arr[:, :, k:k + step].transpose(2, 1, 0)   # x fastest
+            np.ascontiguousarray(block, dtype).tofile(fh)
 
 
 def write_volume(volume: LabeledVolume, out_dir, stem: str = "volume") -> Path:
     """Write descriptor + raw buffers + centroid file; returns the descriptor path.
 
     Buffers are emitted x-fastest little-endian, so write/load round-trips
-    are byte-identical.
+    are byte-identical.  Raises DescriptorError, before any byte is written,
+    when a value does not fit its raw type exactly.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     hu_name = f"{stem}_hu.raw"
     label_name = f"{stem}_labels.raw"
     centroid_name = f"{stem}_centroids.json"
+    buffers = ((volume.hu, HU_DTYPE, hu_name), (volume.labels, LABEL_DTYPE, label_name))
+    for arr, dtype, name in buffers:
+        if not np.can_cast(arr.dtype, dtype):
+            with np.errstate(invalid="ignore"):   # NaN casts to garbage, unequal
+                fits = np.array_equal(arr.astype(dtype), arr)
+            if not fits:
+                raise DescriptorError(
+                    f"values for {name} do not fit the raw type {dtype.name} exactly")
 
-    volume.hu.astype(HU_DTYPE).reshape(-1, order="F").tofile(out_dir / hu_name)
-    volume.labels.astype(LABEL_DTYPE).reshape(-1, order="F").tofile(out_dir / label_name)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for arr, dtype, name in buffers:
+        _write_raw(out_dir / name, arr, dtype)
 
     entries = [{"label": ann.label, "voxel": list(ann.voxel_pos)}
                for ann in sorted(volume.centroids.values(), key=lambda a: a.label)]

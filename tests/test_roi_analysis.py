@@ -1,5 +1,7 @@
 """Inscribed-sphere ROI growth and HU statistics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -124,3 +126,20 @@ def test_roi_brute_force_equivalence(sphere_volume):
 def test_invalid_radius_error(sphere_volume):
     with pytest.raises(RoiTooSmallError):
         sk.roi_stats(sphere_volume, sphere_volume.centroids[1], 0.0)
+
+
+@pytest.mark.parametrize("radius", [True, -1.0, np.inf, np.nan, "2"],
+                         ids=["bool", "negative", "inf", "nan", "str"])
+def test_radius_must_be_positive_finite(sphere_volume, radius):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RoiTooSmallError, match="positive finite"):
+            sk.roi_stats(sphere_volume, sphere_volume.centroids[1], radius)
+
+
+def test_huge_radius_holds_every_voxel(sphere_volume):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        stats = sk.roi_stats(sphere_volume, sphere_volume.centroids[1], np.float64(1e300))
+    assert stats.voxel_count == sphere_volume.hu.size
+    assert stats.hu_sum == int(sphere_volume.hu.sum(dtype=np.int64))

@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -134,6 +135,52 @@ def test_sphere_round_trip_byte_identical(tmp_path, sphere_volume):
     sk.write_volume(loaded, tmp_path / "b")
     for name in ("volume_hu.raw", "volume_labels.raw"):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one_plane", "whole"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_streamed_write_is_x_fastest(tmp_path, monkeypatch, chunk_bytes, order):
+    dims = (5, 4, 3)
+    flat = np.arange(60)
+    vol = sk.LabeledVolume(dims=dims, spacing=(1.0, 1.0, 1.0),
+                           hu=np.asarray(flat.reshape(dims, order="F") - 30,
+                                         dtype=np.int16, order=order),
+                           labels=np.asarray(flat.reshape(dims, order="F"),
+                                             dtype=np.int32, order=order))
+    monkeypatch.setattr(volume_io, "_CHUNK_BYTES", chunk_bytes)
+    sk.write_volume(vol, tmp_path)
+    assert (tmp_path / "volume_hu.raw").read_bytes() == (flat - 30).astype(HU_DTYPE).tobytes()
+    assert (tmp_path / "volume_labels.raw").read_bytes() == flat.astype(LABEL_DTYPE).tobytes()
+
+
+@pytest.mark.parametrize("field, value", [("hu", 40000), ("hu", -40000),
+                                          ("hu", np.nan), ("hu", 0.5),
+                                          ("labels", 70000), ("labels", -1)],
+                         ids=["hu_high", "hu_low", "hu_nan", "hu_fraction",
+                              "label_high", "label_negative"])
+def test_write_refuses_values_that_do_not_fit(tmp_path, field, value):
+    dims = (3, 2, 2)
+    arrays = {"hu": np.zeros(dims, dtype=float if isinstance(value, float) else np.int32),
+              "labels": np.zeros(dims, dtype=np.int32)}
+    arrays[field][2, 1, 1] = value
+    vol = sk.LabeledVolume(dims=dims, spacing=(1.0, 1.0, 1.0), **arrays)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DescriptorError, match="do not fit"):
+            sk.write_volume(vol, tmp_path / "v")
+    assert not (tmp_path / "v").exists()
+
+
+def test_write_accepts_wide_types_that_fit(tmp_path):
+    dims = (3, 2, 2)
+    hu = np.full(dims, -32768.0)
+    hu[0, 0, 0] = 32767.0
+    labels = np.zeros(dims, dtype=np.int64)
+    labels[2, 1, 1] = 28
+    vol = sk.LabeledVolume(dims=dims, spacing=(1.0, 1.0, 1.0), hu=hu, labels=labels)
+    loaded = sk.load_volume(sk.write_volume(vol, tmp_path))
+    assert np.array_equal(loaded.hu, hu) and np.array_equal(loaded.labels, labels)
+    assert loaded.present_labels() == [28]
 
 
 def test_extract_single_voxel_centroid():
@@ -352,7 +399,7 @@ def test_streamed_index_matches_in_memory(chunk_bytes, labels):
     vol = sk.LabeledVolume(dims=labels.shape, spacing=(0.8, 0.8, 1.25),
                            hu=np.zeros(labels.shape, dtype=np.int16), labels=labels)
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
-        mp.setattr(volume_io, "_INDEX_CHUNK_BYTES", chunk_bytes)
+        mp.setattr(volume_io, "_CHUNK_BYTES", chunk_bytes)
         loaded = sk.load_volume(sk.write_volume(vol, tmp))
         assert _same_index(loaded, vol)
 
@@ -371,38 +418,54 @@ def test_label_at_matches_dense_labels(labels):
 
 
 class _Unreadable:
-    """Stands in for a label field that no stage may read."""
+    """Stands in for a field that no stage may read."""
 
-    def __getattr__(self, name):
-        raise AssertionError(f"labels.{name} was read")
+    def __init__(self, name):
+        self.name = name
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"{self.name}.{attr} was read")
 
     def __getitem__(self, key):
-        raise AssertionError("labels were indexed")
+        raise AssertionError(f"{self.name} was indexed")
 
     def __array__(self, *args, **kwargs):
-        raise AssertionError("labels were converted to an array")
+        raise AssertionError(f"{self.name} was converted to an array")
 
     def __iter__(self):
-        raise AssertionError("labels were iterated")
+        raise AssertionError(f"{self.name} was iterated")
 
     def __len__(self):
-        raise AssertionError("labels were measured")
+        raise AssertionError(f"{self.name} was measured")
 
 
-def test_pipeline_never_reads_loaded_labels(tmp_path, monkeypatch, disc_pair):
-    cfg = PipelineConfig(input_path=sk.write_volume(disc_pair[0], tmp_path / "in"),
+def _guarded_report(tmp_path, monkeypatch, volume, field):
+    """Pipeline report on `volume` written and loaded, before and after the
+    loaded volume's `field` is replaced by an _Unreadable."""
+    cfg = PipelineConfig(input_path=sk.write_volume(volume, tmp_path / "in"),
                          out_dir=tmp_path / "out")
     normal = run_pipeline(cfg).to_json_dict()
 
     def guarded_load(path):
-        volume = sk.load_volume(path)
-        volume.labels = _Unreadable()
-        return volume
+        loaded = sk.load_volume(path)
+        setattr(loaded, field, _Unreadable(field))
+        return loaded
 
     monkeypatch.setattr(report_cli, "load_volume", guarded_load)
-    guarded = run_pipeline(cfg).to_json_dict()
+    return normal, run_pipeline(cfg).to_json_dict()
+
+
+def test_pipeline_never_reads_loaded_labels(tmp_path, monkeypatch, disc_pair):
+    normal, guarded = _guarded_report(tmp_path, monkeypatch, disc_pair[0], "labels")
     assert guarded == normal
     assert normal["pairs"] and len(normal["vertebrae"]) == 2
+
+
+def test_pipeline_never_reads_loaded_hu(tmp_path, monkeypatch, disc_pair):
+    normal, guarded = _guarded_report(tmp_path, monkeypatch, disc_pair[0], "hu")
+    assert guarded == normal
+    assert normal["pairs"] and normal["pairs"][0]["voxel_count"]
+    assert all(rec["roi"] and len(rec["region_hu"]) == 3 for rec in normal["vertebrae"])
 
 
 def test_loaded_arrays_are_read_only(tmp_path, sphere_volume):
@@ -411,3 +474,100 @@ def test_loaded_arrays_are_read_only(tmp_path, sphere_volume):
         loaded.hu[0, 0, 0] = 1
     with pytest.raises(ValueError):
         loaded.labels[0, 0, 0] = 1
+
+
+@st.composite
+def _hu_queries(draw):
+    """An HU field and index arrays into it: scattered (unsorted, with
+    repeats), on one z plane, on every voxel of every plane, broadcast, or
+    empty."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    hu = rng.integers(-32768, 32768, dims).astype(np.int16)
+    kind = draw(st.sampled_from(("scatter", "one_plane", "every_plane",
+                                 "broadcast", "empty")))
+    if kind == "every_plane":
+        ijk = tuple(a.ravel()[rng.permutation(hu.size)] for a in np.indices(dims))
+    elif kind == "broadcast":
+        ijk = (rng.integers(0, dims[0], (draw(st.integers(1, 4)), 1)),
+               rng.integers(0, dims[1], (1, draw(st.integers(1, 4)))),
+               rng.integers(0, dims[2]))
+    else:
+        n = 0 if kind == "empty" else draw(st.integers(1, 40))
+        ijk = [rng.integers(0, d, n) for d in dims]
+        if kind == "one_plane":
+            ijk[2] = np.full(n, ijk[2][0])
+        ijk = tuple(ijk)
+    return hu, ijk
+
+
+@settings(max_examples=150, deadline=None)
+@given(query=_hu_queries())
+def test_hu_at_matches_loaded_map(query):
+    hu, ijk = query
+    vol = sk.LabeledVolume(dims=hu.shape, spacing=(1.0, 1.0, 1.0), hu=hu,
+                           labels=np.zeros(hu.shape, dtype=np.uint16))
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = sk.load_volume(sk.write_volume(vol, tmp))
+        for v in (vol, loaded):
+            got = v.hu_at(*ijk)
+            assert got.shape == loaded.hu[ijk].shape
+            assert np.array_equal(got, loaded.hu[ijk])
+
+
+def test_every_hu_read_lies_in_one_plane(tmp_path, monkeypatch):
+    volume, _ = sk.make_disc_pair(15.0, 10.0, 4.0, (0.8, 0.8, 1.25), (1, 2),
+                                  hu_in=100, hu_out=-50)
+    cfg = PipelineConfig(input_path=sk.write_volume(volume, tmp_path / "in"),
+                         out_dir=tmp_path / "out")
+    reads = []   # (first voxel, voxel count) of each HU-file read
+    fromfile = np.fromfile
+    monkeypatch.setattr(np, "fromfile", lambda fh, *args, **kw: (
+        Path(fh.name).name == "volume_hu.raw"
+        and reads.append((fh.tell() // HU_DTYPE.itemsize, kw["count"])))
+        or fromfile(fh, *args, **kw))
+    report = run_pipeline(cfg).to_json_dict()
+    assert report["pairs"] and all(rec["roi"] for rec in report["vertebrae"])
+    plane = volume.dims[0] * volume.dims[1]
+    planes = [(first // plane, (first + count - 1) // plane) for first, count in reads]
+    assert reads and all(lo == hi for lo, hi in planes)
+    assert len({lo for lo, _ in planes}) > 1
+
+
+def test_shrunk_hu_file_raises_descriptor_error(tmp_path, disc_pair):
+    volume = disc_pair[0]
+    desc = sk.write_volume(volume, tmp_path)
+    loaded = sk.load_volume(desc)
+    points = sk.extract_label_points(loaded, 1)
+    mesh = sk.build_alpha_shape(points, alpha=points.voxel_diagonal)
+    hu_file = tmp_path / "volume_hu.raw"
+    last = tuple(d - 1 for d in volume.dims)
+    assert loaded.hu_at(*last) == volume.hu[last]
+    with open(hu_file, "r+b") as fh:
+        fh.truncate(hu_file.stat().st_size - HU_DTYPE.itemsize)
+    assert loaded.hu_at(0, 0, 0) == volume.hu[0, 0, 0]
+    with pytest.raises(DescriptorError, match="shrank while it was read"):
+        loaded.hu_at(*last)
+    hu_file.write_bytes(b"")
+    with pytest.raises(DescriptorError, match="shrank while it was read"):
+        sk.map_grey(mesh, loaded, 1, "internal")
+
+
+@pytest.mark.parametrize("stage", ["load_volume", "_derive_pairs"])
+def test_pipeline_warns_when_hu_file_shrinks(tmp_path, monkeypatch, disc_pair, stage):
+    desc = sk.write_volume(disc_pair[0], tmp_path)
+    original = getattr(report_cli, stage)
+
+    def then_shrink(*args):
+        result = original(*args)
+        (tmp_path / "volume_hu.raw").write_bytes(b"")
+        return result
+
+    monkeypatch.setattr(report_cli, stage, then_shrink)
+    report = run_pipeline(PipelineConfig(input_path=desc, out_dir=tmp_path / "out"))
+    # shrunk after the load, every vertebra fails; after the vertebrae, the pair
+    kind, vertebrae = {"load_volume": ("vertebra_failed", 0),
+                       "_derive_pairs": ("interspace_failed", 2)}[stage]
+    failed = [w for w in report.warnings if w["kind"] == kind]
+    assert failed and all("shrank while it was read" in w["message"] for w in failed)
+    assert len(report.vertebrae) == vertebrae and not report.pairs
