@@ -14,25 +14,45 @@ Exactly-degenerate tetrahedra then behave as infinitely-thin cells: their
 jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
 
-Alpha complexes are local (Edelsbrunner & Mücke 1994), so a voxel-centroid
-cloud (a `PointCloud`) with a numeric alpha is triangulated only near its
-border.  Let h be half the voxel diagonal (the lattice covering radius), d(p)
-the mm distance from point p to the nearest lattice point outside the cloud
-(one EDT of the cloud's index box) and δ the jitter's largest displacement.
-For alpha > h (plus a jitter margin, see `_shell`):
+A voxel-centroid cloud (a `PointCloud`) with a numeric alpha is triangulated
+only near its border.  Let h be half the voxel diagonal (the lattice's
+covering radius: a ball of radius above h holds a lattice point strictly
+inside), d(p) the mm distance from point p to the nearest lattice point
+outside the cloud (one EDT of the cloud's index box), δ the jitter's largest
+displacement and ε > 2δ the margin by which a lattice cube's jittered
+tetrahedra can exceed radius h (`_lattice_margins`).  The general locality
+bound (Edelsbrunner & Mücke 1994) would keep every point within 3 alpha + 2h
+of the border; the lattice allows a thinner shell.
 
-- every surface face has its vertices at depth <= alpha + h + δ: its dual
-  Voronoi edge holds an empty alpha-ball, and within h of that ball's center
-  lies a lattice point the cloud lacks;
-- a kept tetrahedron with a vertex v reaches depth at most d(v) + 2α + 2δ, so
-  keeping the points with d <= D = 3α + 2h + 2δ leaves every kept tetrahedron
-  and every surface face with a vertex shallower than S = α + 2h exactly as
-  the full cloud has them;
-- faces whose three vertices are all at depth >= S are the wall of the pruned
-  hollow; they share no vertex with a surface face and are dropped;
-- a point at depth >= S > one voxel diagonal has all 8 of its lattice cubes
-  filled, so it lies in a kept cube tetrahedron of the full build, and the
-  "points left outside" check needs only the shallower points.
+Lemma: in the Delaunay build of a set of lattice points, every vertex v of a
+tetrahedron of radius r > h + ε lies within 2h + 2δ of a lattice point
+missing from the set.  Inside the empty circumball shrunk by δ, the ball of
+radius h' ∈ (h, r - δ] that touches it towards v's jittered copy holds a
+lattice point strictly inside, which the set therefore lacks, at less than
+2h' + 2δ from v.  A vertex on the convex hull has the empty half-space
+beyond its face in place of the ball.
+
+For alpha > h + ε the shell is the points with d <= D, the shallow ones
+those with d < S, where S = 2h + ε and D = max(S + 2h + 2ε + 2δ, 2 alpha):
+
+- every surface face lies between a kept tetrahedron and one of radius
+  > alpha > h + ε, or the hull, so its vertices are shallow (lemma);
+- a kept tetrahedron of the cloud with a shallow vertex v is in the shell:
+  its vertices are shallow if its radius r exceeds h + ε, and otherwise lie
+  within 2r + 2δ <= 2h + 2ε + 2δ of v;
+- a shell tetrahedron of radius r <= alpha with a shallow vertex v is a
+  Delaunay tetrahedron of the cloud.  If r <= h + ε, every point in its ball
+  lies within 2h + 2ε + 2δ of v, so in the shell.  Otherwise the lemma puts
+  in the ball a lattice point q that the shell lacks, within S + 2h + 2δ <= D
+  deep, so the cloud lacks q too; a pruned point p in the ball would be
+  within 2r <= 2 alpha <= D < d(p) of q, which puts q in the cloud;
+- so the shell build has every kept tetrahedron and every boundary face
+  with a shallow vertex exactly as the full cloud has them; faces with no
+  shallow vertex are the wall of the pruned hollow, share no vertex with a
+  surface face and are dropped;
+- a point at depth >= S lies only in tetrahedra of radius <= h + ε < alpha
+  (lemma), so it is in the complex, and the "points left outside" check
+  needs only the shallow points.
 
 The jitter is drawn on the full cloud and each triangle is written from its
 smallest vertex index, so the result equals the full build.  The shell keeps
@@ -161,18 +181,10 @@ def _jittered(points: np.ndarray) -> np.ndarray:
     return points + rng.uniform(-1.0, 1.0, points.shape) * _jitter_amplitude(points)
 
 
-def _shell(points: np.ndarray, spacing, alpha):
-    """(index, shallow): the points of a voxel-centroid cloud at most
-    D = 3 alpha + 2h + 2δ deep, which the complex triangulates, and the mask
-    of those among them shallower than S = alpha + 2h (module docstring).
-
-    Depth is a point's mm distance to the nearest lattice point outside the
-    cloud.  Every point is kept and shallow when alpha is within the jitter
-    margin of h, and when there is no lattice (`spacing` None: a raw point
-    array).  "auto" takes every point and never comes here.
-    """
-    if spacing is None:   # no lattice, no depth
-        return np.arange(len(points)), np.ones(len(points), dtype=bool)
+def _lattice_margins(points: np.ndarray, spacing):
+    """(h, δ, ε) of a voxel-centroid cloud: half the voxel diagonal, the
+    jitter's largest displacement, and the margin by which a lattice cube's
+    jittered tetrahedra can exceed circumradius h."""
     spacing = np.asarray(spacing, dtype=float)
     h = 0.5 * float(np.linalg.norm(spacing))
     delta = np.sqrt(3.0) * _jitter_amplitude(points)
@@ -180,6 +192,26 @@ def _shell(points: np.ndarray, spacing, alpha):
     # delta * (1 + 12 sqrt(3) h^3 / cell volume) to first order (their edge
     # matrix has determinant >= the cell volume); twice that covers the rest.
     margin = 2.0 * delta * (1.0 + 12.0 * np.sqrt(3.0) * h ** 3 / np.prod(spacing))
+    return h, delta, margin
+
+
+def _shell(points: np.ndarray, spacing, alpha):
+    """(index, shallow): the points of a voxel-centroid cloud at most
+    D = max(S + 2h + 2ε + 2δ, 2 alpha) deep, which the complex triangulates,
+    and the mask of those among them shallower than S = 2h + ε (module
+    docstring).  Only near-cube tetrahedra (radius <= h + ε) reach deeper
+    than 2h + 2δ, so S holds every surface vertex; a shallow vertex's kept
+    tetrahedra then need the shell to reach one more voxel diagonal, or 2
+    alpha when that is more.
+
+    Depth is a point's mm distance to the nearest lattice point outside the
+    cloud.  Every point is kept and shallow when alpha is within ε of h, and
+    when there is no lattice (`spacing` None: a raw point array).  "auto"
+    takes every point and never comes here.
+    """
+    if spacing is None:   # no lattice, no depth
+        return np.arange(len(points)), np.ones(len(points), dtype=bool)
+    h, delta, margin = _lattice_margins(points, spacing)
     if alpha <= h + margin:
         return np.arange(len(points)), np.ones(len(points), dtype=bool)
     # imported here: "auto" and raw-array builds never need it
@@ -194,8 +226,10 @@ def _shell(points: np.ndarray, spacing, alpha):
     mask = np.zeros(ijk.max(axis=0) - lo + 2, dtype=bool)
     mask[at] = True
     depth = distance_transform_edt(mask, sampling=spacing)[at]
-    index = np.flatnonzero(depth <= 3.0 * alpha + 2.0 * h + 2.0 * delta)
-    return index, depth[index] < alpha + 2.0 * h
+    shallow_below = 2.0 * h + margin   # S
+    index = np.flatnonzero(
+        depth <= max(shallow_below + 2.0 * h + 2.0 * (margin + delta), 2.0 * alpha))
+    return index, depth[index] < shallow_below
 
 
 def _workers() -> int:
@@ -409,14 +443,17 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     returned mesh.
 
     A `PointCloud` with a numeric alpha above half its voxel diagonal h is
-    triangulated only where it is at most 3 alpha + 2h deep (mm to the
-    nearest lattice point outside the cloud).  The result equals the full
-    build: surface vertices lie at most alpha + h deep, and a kept
-    tetrahedron spans at most 2 alpha (module docstring).  That shell is
-    triangulated in 3 slabs per CPU of the affinity mask, on one thread per
-    CPU; a kept tetrahedron has its circumcentre in exactly one slab, so the
-    result does not depend on the slab count.  A raw point array with a
-    numeric alpha is one slab of every point.
+    triangulated only where it is at most max(4h, 2 alpha) deep (mm to the
+    nearest lattice point outside the cloud; plus jitter margins).  The
+    result equals the full build: every tetrahedron wider than a lattice
+    cube's circumsphere has its vertices at most 2h deep, so surface
+    vertices do, and a kept tetrahedron at such a vertex either spans at
+    most 2h or has an empty ball that 2 alpha of depth keeps free of pruned
+    points (module docstring).  That shell is triangulated in 3 slabs per
+    CPU of the affinity mask, on one thread per CPU; a kept tetrahedron has
+    its circumcentre in exactly one slab, so the result does not depend on
+    the slab count.  A raw point array with a numeric alpha is one slab of
+    every point.
     """
     if alpha != AUTO and not is_positive_real(alpha):
         raise ReconstructionError(

@@ -76,7 +76,8 @@ class PipelineConfig:
     `alpha` is "auto", a radius in mm, or None for the default of one voxel
     diagonal.  `criteria` names each mapping criterion at most once.
     `pairs` overrides the consecutive-label pairing; each pair joins two
-    different int labels (not bools), both at least 1.  Both lists are stored
+    different int labels (not bools), both at least 1, and no two pairs join
+    the same labels, in either order.  Both lists are stored
     as tuples of Python values.  Any other value raises SpineKitError.
     """
 
@@ -117,6 +118,9 @@ class PipelineConfig:
                 f"pairs must join two different labels of at least 1, got {bad}")
         if self.pairs is not None:
             self.pairs = tuple((int(lo), int(hi)) for lo, hi in self.pairs)
+            if len({frozenset(p) for p in self.pairs}) < len(self.pairs):
+                raise SpineKitError(
+                    f"pairs must not repeat in either order, got {list(self.pairs)}")
 
     def semantic(self) -> dict:
         """Config content that determines the outputs (paths excluded)."""

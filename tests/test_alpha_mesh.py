@@ -10,13 +10,14 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
+from scipy.ndimage import distance_transform_edt
 from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
 from spinekit.alpha_mesh import (_boundary_faces, _check_solid, _edge_runs,
-                                 _face_components, _jittered, _shell,
-                                 _slab_complex, _sole_faces, _surface,
+                                 _face_components, _jittered, _lattice_margins,
+                                 _shell, _slab_complex, _sole_faces, _surface,
                                  _triangulate)
 from spinekit.errors import MeshContractError, ReconstructionError
 
@@ -342,24 +343,28 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
 
 @settings(max_examples=12, deadline=None)
 @given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
-       fraction=st.floats(0.75, 1.3),
+       fraction=st.floats(0.75, 3.0),
        extra=st.floats(0.5, 2.0),
        cavity=st.floats(0.0, 3.0),
        notch=st.booleans(),
        holes=st.integers(0, 6),
+       shape=st.sampled_from(["ball", "plate", "stray"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
-                                        holes, seed):
+                                        holes, shape, seed):
     # a lattice ball deep enough to prune at this alpha, with an interior
     # cavity, a notch cut into its side and random single-voxel holes, each
-    # kept clear of the centre so that the centre stays deep
+    # kept clear of the centre so that the centre stays deep; a "plate" ball
+    # wears a one-voxel-thick flange, a "stray" ball has one voxel 3-10 mm off
+    # its surface.  Alpha spans both branches of the shell depth max(4h, 2 alpha).
     rng = np.random.default_rng(seed)
     spacing = np.asarray(spacing)
     h = np.linalg.norm(spacing) / 2.0
     alpha = fraction * 2.0 * h
-    deep = 3.0 * alpha + 2.0 * h + 1.0        # the shell bound plus 1 mm
+    deep = max(4.0 * h, 2.0 * alpha) + 1.0    # deeper than the shell bound
     radius = deep + 2.0 * cavity + 1.5 + extra
-    n = np.ceil(radius / spacing).astype(int) + 1
+    reach = radius if shape == "ball" else radius + 10.0 + 2.0 * h
+    n = np.ceil(reach / spacing).astype(int) + 1
     grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
     dist = np.linalg.norm(grid, axis=1)
     inside = dist <= radius
@@ -373,8 +378,62 @@ def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
                     & (np.linalg.norm(grid - np.outer(along, axis), axis=1) < 3.0))
     clear = np.flatnonzero(inside & (dist > deep))
     inside[rng.choice(clear, size=min(holes, len(clear)), replace=False)] = False
+    gap = rng.uniform(3.0, 10.0)
+    if shape == "plate":
+        layer = np.abs(grid[:, 2] - 0.5 * spacing[2]) < 1e-9
+        inside |= layer & (dist <= radius + gap)
+    elif shape == "stray":
+        inside[np.argmin(np.linalg.norm(grid - (radius + gap) * axis, axis=1))] = True
     cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
     assert _assert_shell_matches_full(cloud, alpha) > 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+       shape=st.sampled_from(["blob", "plate", "stray"]),
+       fraction=st.floats(0.75, 3.0),
+       holes=st.integers(0, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_wide_tetrahedra_have_shallow_vertices(spacing, shape, fraction, holes, seed):
+    # The lemma behind the shell: a Delaunay tetrahedron of radius above
+    # h + margin has every vertex within a voxel diagonal of a lattice point
+    # missing from the cloud, so `_shell` marks it shallow, and so is every
+    # surface vertex at a numeric alpha.  A blob of 2-3 overlapping balls
+    # with random single-voxel holes, alone, with a one-voxel-thick plate
+    # through it, or with one voxel 3-10 mm off its surface.  No hole comes
+    # within 4 mm of the first ball's centre, so some points stay deep.
+    rng = np.random.default_rng(seed)
+    spacing = np.asarray(spacing)
+    n = np.ceil(20.0 / spacing).astype(int)
+    grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
+    core = rng.uniform(-3.0, 3.0, 3)
+    inside = np.linalg.norm(grid - core, axis=1) <= rng.uniform(5.5, 7.0)
+    for _ in range(rng.integers(1, 3)):
+        inside |= (np.linalg.norm(grid - rng.uniform(-3.0, 3.0, 3), axis=1)
+                   <= rng.uniform(3.0, 6.0))
+    blob = np.flatnonzero(inside)
+    clear = np.flatnonzero(inside & (np.linalg.norm(grid - core, axis=1) > 4.0))
+    inside[rng.choice(clear, size=holes, replace=False)] = False
+    if shape == "plate":
+        along = rng.integers(3)
+        layer = grid[:, along] == grid[rng.choice(blob), along]
+        inside |= layer & (np.linalg.norm(grid, axis=1) <= rng.uniform(8.0, 12.0))
+    elif shape == "stray":
+        off = distance_transform_edt(~inside.reshape(2 * n), sampling=spacing).ravel()
+        inside[rng.choice(np.flatnonzero((off >= 3.0) & (off <= 10.0)))] = True
+    cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
+    whole = _whole_build(cloud.points)
+    h, _, margin = _lattice_margins(cloud.points, cloud.spacing)
+    alpha = fraction * 2.0 * h
+    index, shallow = _shell(cloud.points, cloud.spacing, alpha)
+    is_shallow = np.zeros(len(cloud), dtype=bool)
+    is_shallow[index[shallow]] = True
+    assert not is_shallow.all()
+    wide = whole.radii > h + margin
+    assert is_shallow[whole.tets[wide]].all()
+    keep = whole.radii <= alpha
+    surface = _boundary_faces(whole.positive, whole.tets, whole.neighbors, keep)
+    assert len(surface) > 0 and is_shallow[surface].all()
 
 
 def test_hollow_ball_cavity_survives_pruning():

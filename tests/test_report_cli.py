@@ -427,6 +427,11 @@ def test_config_rejects_degenerate_pairs(tmp_path):
     for bad in ([(2, 2)], [(1, 2), (0, 1)], [(3, -1)], [[4, 4]]):
         with pytest.raises(sk.SpineKitError, match="pairs"):
             PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=bad)
+    # a repeated pair would be computed and written twice, and 2-1 after 1-2
+    # would write both interspace_01_02.ply and interspace_02_01.ply
+    for bad in ([(1, 2), (1, 2)], [(1, 2), (3, 4), (2, 1)], [[1, 2], (np.int64(1), 2)]):
+        with pytest.raises(sk.SpineKitError, match="pairs must not repeat"):
+            PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=bad)
     PipelineConfig(input_path=tmp_path, out_dir=tmp_path, pairs=[(1, 2), (3, 1)])
 
 
@@ -447,15 +452,17 @@ def test_numpy_config_values_give_the_python_config(tmp_path):
     assert numpy_hash == python_hash
 
 
-@pytest.mark.parametrize("pairs", ["2-2", "0-1", "1-2,1-1"])
+@pytest.mark.parametrize("pairs", ["2-2", "0-1", "1-2,1-1", "1-2,1-2", "1-2,2-1"])
 def test_cli_rejects_degenerate_pairs(tmp_path, capsys, disc_pair, pairs):
     # a pair of one label would report that vertebra's own body as its
-    # interspace
+    # interspace; a repeated pair would be reported twice
     desc = sk.write_volume(disc_pair[0], tmp_path / "in")
     assert main(["run", "--input", str(desc), "--out", str(tmp_path / "out"),
                  "--pairs", pairs]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: pairs must join two different labels")
+    reason = ("pairs must not repeat in either order" if pairs in ("1-2,1-2", "1-2,2-1")
+              else "pairs must join two different labels")
+    assert err.startswith("error: " + reason)
     assert not (tmp_path / "out").exists()
 
 
