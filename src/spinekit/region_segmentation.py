@@ -7,7 +7,8 @@ sum, never by finite-differencing the sampled curve) become the distance
 thresholds separating body, arch and processes.  Sign changes of d1 and d2
 between neighbouring points of one 4096-point grid bracket the roots, and
 `DensityCurve.kernel`, the full sum over every sample, refines and
-classifies them.
+classifies them; each root is the lower of the two adjacent floats where
+the sign changes (`_refine_roots`, a bisection), not a solver's tolerance.
 
 The grid pass does not evaluate the full sum on the whole grid.  What the
 thresholds read from the grid is the sign of d1 and of d2 at every point,
@@ -56,7 +57,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateDistributionError, ThresholdFailureError
 from .volume_io import centroid_mm, is_positive_real
@@ -287,15 +287,21 @@ class Thresholds:
                 "non-degraded thresholds must be strictly increasing")
 
 
-def _refine_roots(func, xs: np.ndarray,
-                  values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Roots of func between consecutive sign changes of `values` on `xs`,
-    and the sign of `values` at each root's left bracket."""
+def _refine_roots(func, xs: np.ndarray, values: np.ndarray) -> list:
+    """Per row r of `values`, row r of `func` sampled on `xs` (func(x) gives
+    every row): (roots, left signs), in each bracket where the row changes
+    sign the last float with its left sign, the next float having another.
+    Bisects every bracket at once, one `func` call per step, to adjacent
+    floats (a closed bracket's midpoint is one of its ends and stays put)."""
     sign = np.sign(values)
-    flips = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    roots = [brentq(func, xs[i], xs[i + 1], xtol=1e-12 * (xs[-1] + 1.0))
-             for i in flips]
-    return np.asarray(roots), sign[flips]
+    row, i = np.nonzero(sign[:, :-1] * sign[:, 1:] < 0)
+    left, lo, hi = sign[row, i], xs[i], xs[i + 1]
+    mid = 0.5 * (lo + hi)
+    while np.any((lo < mid) & (mid < hi)):
+        kept = np.sign(func(mid)[row, np.arange(len(mid))]) == left
+        lo, hi = np.where(kept, mid, lo), np.where(kept, hi, mid)
+        mid = 0.5 * (lo + hi)
+    return [(lo[row == r], left[row == r]) for r in range(len(sign))]
 
 
 def density_critical_points(curve: DensityCurve,
@@ -307,10 +313,8 @@ def density_critical_points(curve: DensityCurve,
     positive, i.e. the falling side of a density hump.  Both root sets are
     bracketed by sign changes of the curve's stored d1 and d2.
     """
-    d1, d2 = curve.signs
-    roots, _ = _refine_roots(lambda x: float(curve.kernel(x)[1, 0]), curve.grid, d1)
-    infl, left_sign = _refine_roots(
-        lambda x: float(curve.kernel(x)[2, 0]), curve.grid, d2)
+    (roots, _), (infl, left_sign) = _refine_roots(
+        lambda x: curve.kernel(x)[1:], curve.grid, curve.signs)
     pdf, _, curvature = curve.kernel(roots)
     # bumps carrying under 0.1% of the peak density (e.g. isolated extreme
     # samples under a narrow bandwidth) do not count as modes

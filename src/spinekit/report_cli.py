@@ -36,8 +36,8 @@ from .region_segmentation import (Region, classify_vertices,
                                   estimate_density, find_thresholds)
 from .roi_analysis import max_inscribed_radius, roi_stats
 from .texture_mapping import CRITERIA, map_grey, region_mean_hu
-from .volume_io import (extract_label_points, is_positive_real, load_volume,
-                        write_volume)
+from .volume_io import (extract_label_points, is_number, is_positive_real,
+                        load_volume, write_volume)
 
 logger = logging.getLogger("spinekit")
 
@@ -111,8 +111,7 @@ class PipelineConfig:
             self.bandwidth = float(self.bandwidth)
         bad = [p for p in self.pairs or ()
                if not (isinstance(p, (tuple, list)) and len(p) == 2 and p[0] != p[1]
-                       and all(isinstance(x, numbers.Integral) and not isinstance(x, bool)
-                               and x >= 1 for x in p))]
+                       and all(is_number(x, numbers.Integral) and x >= 1 for x in p))]
         if bad:
             raise SpineKitError(
                 f"pairs must join two different labels of at least 1, got {bad}")

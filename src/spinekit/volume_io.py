@@ -92,17 +92,20 @@ def mm_to_index(mm, spacing, dims=None) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok[:, None], near, 0).astype(np.int64), ok
 
 
+def is_number(value, kind=numbers.Real) -> bool:
+    """Whether `value` is a `kind` of number (a `numbers` class); no bool is."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
 def is_positive_real(value) -> bool:
     """Whether `value` is a finite real number above 0; a bool is not."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < np.inf)   # NaN fails
+    return is_number(value) and 0 < value < np.inf   # NaN fails
 
 
 def _check_grid(dims, spacing) -> None:
     """DescriptorError unless `dims` are 3 integers of at least 1 and
     `spacing` 3 finite reals above 0."""
-    if len(dims) != 3 or not all(isinstance(d, numbers.Integral)
-                                 and not isinstance(d, bool) and d >= 1 for d in dims):
+    if len(dims) != 3 or not all(is_number(d, numbers.Integral) and d >= 1 for d in dims):
         raise DescriptorError(f"dims must be positive integers, 3 of them, got {dims}")
     if len(spacing) != 3 or not all(is_positive_real(s) for s in spacing):
         raise DescriptorError(
@@ -335,10 +338,12 @@ def load_volume(descriptor_path) -> LabeledVolume:
             raise DescriptorError("centroid file must hold a JSON array")
         for entry in entries:
             try:
-                lab = int(entry["label"])
-                vox = [float(v) for v in entry["voxel"]]
-            except (KeyError, TypeError, ValueError) as exc:
+                lab, vox = entry["label"], list(entry["voxel"])
+            except (KeyError, TypeError) as exc:
                 raise DescriptorError(f"malformed centroid entry {entry}") from exc
+            # so label 1.9, true or "1" is not taken as label 1
+            if not (is_number(lab, numbers.Integral) and all(map(is_number, vox))):
+                raise DescriptorError(f"malformed centroid entry {entry}")
             if not (1 <= lab <= MAX_LABEL):
                 raise DescriptorError(f"centroid label {lab} outside 1..{MAX_LABEL}")
             if lab in centroids:

@@ -318,8 +318,8 @@ def density_modes_reference(curve, rows) -> np.ndarray:
     """Interior density maxima from a pass over d1 alone on the curve's
     grid, floored at 0.1% of the grid's peak pdf.  `rows` holds
     `kernel_sums_reference` on the grid for orders 0, 1 and 2."""
-    roots, _ = _refine_roots(
-        lambda x: float(kernel_sums_reference(curve, x, 1)[0]), curve.grid, rows[1])
+    [(roots, _)] = _refine_roots(
+        lambda x: kernel_sums_reference(curve, x, 1)[None], curve.grid, rows[1][None])
     if roots.size == 0:
         return roots
     roots = roots[kernel_sums_reference(curve, roots, 2) < 0]
@@ -330,8 +330,8 @@ def density_modes_reference(curve, rows) -> np.ndarray:
 def density_inflections_reference(curve, rows) -> tuple[np.ndarray, np.ndarray]:
     """Inflections and descending-flank mask from a pass over d2 alone on
     the curve's grid (`rows` as for `density_modes_reference`)."""
-    xs, left_sign = _refine_roots(
-        lambda x: float(kernel_sums_reference(curve, x, 2)[0]), curve.grid, rows[2])
+    [(xs, left_sign)] = _refine_roots(
+        lambda x: kernel_sums_reference(curve, x, 2)[None], curve.grid, rows[2][None])
     return xs, left_sign < 0
 
 

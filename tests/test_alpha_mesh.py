@@ -1,10 +1,12 @@
 """Alpha-shape reconstruction and mesh metrics."""
 
 import itertools
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,7 +17,7 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.alpha_mesh import (_boundary_faces, _check_solid, _edge_runs,
+from spinekit.alpha_mesh import (_boundary_faces, _check_solid, _circumradii, _edge_runs,
                                  _face_components, _jittered, _lattice_margins,
                                  _shell, _slab_complex, _sole_faces, _surface,
                                  _triangulate)
@@ -184,6 +186,68 @@ def test_empty_mesh_is_open():
     assert len(empty.edge_use_counts()) == 0
     with pytest.raises(MeshContractError):
         sk.mesh_metrics(empty)
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _exact_circumsphere(corners):
+    """(det, scale, centre, squared radius) of a tetrahedron's float corners
+    a, b, c, d in rational arithmetic: det and largest entry of the rows
+    b - a, c - a, d - a, and (by Cramer's rule) the circumsphere, None for
+    det == 0."""
+    a, *rest = [[Fraction(x) for x in p] for p in corners.tolist()]
+    m = [[u - v for u, v in zip(q, a)] for q in rest]
+    det = _det3(m)
+    scale = max(abs(x) for row in m for x in row)
+    if det == 0:
+        return det, scale, None, None
+    rhs = [sum(x * x for x in row) / 2 for row in m]
+    offset = [_det3([[rhs[i] if j == k else m[i][j] for j in range(3)]
+                     for i in range(3)]) / det for k in range(3)]
+    return det, scale, [u + o for u, o in zip(a, offset)], sum(o * o for o in offset)
+
+
+_BLOCK = np.array(list(itertools.product(range(4), repeat=3)))   # 4x4x4 lattice
+_CUBE_TETS = np.array(list(itertools.combinations(
+    np.flatnonzero((_BLOCK <= 1).all(axis=1)), 4)))   # 70, of which 12 are flat
+
+
+@settings(max_examples=40, deadline=None)
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+       origin=st.tuples(*[st.integers(0, 60)] * 3),
+       jitter=st.sampled_from([0.0, 1e-16, 1e-15, 1e-14, 1e-12, 1e-9, 1e-6, 1e-3]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_circumradii_match_exact_arithmetic(spacing, origin, jitter, seed):
+    # every 4 corners of one lattice cube (near-flat when 4 share a plane)
+    # and random lattice tetrahedra, jittered by up to `jitter` x 60 mm
+    rng = np.random.default_rng(seed)
+    pts = (np.asarray(origin) + _BLOCK + 0.5) * spacing
+    pts += rng.uniform(-1.0, 1.0, pts.shape) * jitter * 60.0
+    tets = np.concatenate([_CUBE_TETS, np.sort(np.stack(
+        [rng.choice(len(_BLOCK), 4, replace=False) for _ in range(30)]), axis=1)])
+    radii, centres, positive = _circumradii(pts, tets)
+    eps = np.finfo(float).eps
+    for t, radius, centre, pos in zip(tets, radii, centres, positive):
+        det, scale, exact_centre, r2 = _exact_circumsphere(pts[t])
+        threshold = Fraction(1e-14) * scale ** 3
+        if threshold / 2 <= abs(det) <= 2 * threshold:
+            continue   # too near the threshold for the float det to decide
+        assert math.isfinite(radius) == (abs(det) > threshold)
+        if not math.isfinite(radius):
+            assert np.isnan(centre).all()
+            continue
+        assert pos == (det > 0)
+        # rounding of b - a, c - a, d - a and of the closed form, amplified
+        # by the condition scale^3 / |det|; measured up to 0.7 eps kappa
+        kappa = float(scale ** 3 / abs(det)) * (1.0 + float(np.abs(pts[t]).max() / scale))
+        exact_radius = math.sqrt(float(r2))
+        assert abs(radius - exact_radius) <= 4 * eps * kappa * exact_radius
+        centre_error = max(abs(Fraction(x) - y) for x, y in zip(centre.tolist(), exact_centre))
+        assert float(centre_error) <= 4 * eps * kappa * exact_radius
 
 
 def _whole_build(points) -> SimpleNamespace:
@@ -541,9 +605,10 @@ def test_qhull_error_in_one_slab_is_the_serial_reconstruction_error(
 
 
 def test_linalg_error_in_a_slab_propagates_unchanged(sphere_points, monkeypatch):
-    # `_circumradii` solves only systems it has shown to be regular, so a
-    # LinAlgError is a defect in the program, not a bad vertebra: it reaches
-    # the caller as itself, as from the serial build
+    # `_circumradii` is plain arithmetic and raises nothing on a singular
+    # cell, so an error in it (here a LinAlgError) is a defect in the
+    # program, not a bad vertebra: it reaches the caller as itself, as from
+    # the serial build
     def singular(*args):
         raise np.linalg.LinAlgError("injected")
 

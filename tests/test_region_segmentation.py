@@ -241,6 +241,42 @@ def test_critical_points_equal_per_order_passes_on_compound(compound_segmentatio
     _assert_critical_points_match(curve, kernel_rows_reference(curve))
 
 
+def _assert_roots_are_sign_changes(curve):
+    """Each root of d1 and d2 is the last float of its bracket at which
+    `kernel` keeps the bracket's left sign, the next float has another
+    sign, and brentq at the tolerance the refinement once used lands within
+    that tolerance of it."""
+    xtol = 1e-12 * (curve.grid[-1] + 1.0)
+    found = region_segmentation._refine_roots(lambda x: curve.kernel(x)[1:],
+                                              curve.grid, curve.signs)
+    for order, (roots, left) in enumerate(found, start=1):
+        sign = curve.signs[order - 1]
+        flips = np.flatnonzero(sign[:-1] * sign[1:] < 0)
+        assert np.array_equal(left, sign[flips])
+        assert np.array_equal(np.sign(curve.kernel(roots)[order]), left)
+        after = np.sign(curve.kernel(np.nextafter(roots, np.inf))[order])
+        assert np.all(after != left)
+        oracle = [brentq(lambda x: float(curve.kernel(x)[order, 0]),
+                         curve.grid[i], curve.grid[i + 1], xtol=xtol) for i in flips]
+        assert np.all(np.abs(roots - np.asarray(oracle)) <= xtol)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       n=st.one_of(st.integers(10, 300), st.integers(3000, 9000)),
+       quantum=st.sampled_from((0.0, 0.5)),
+       bandwidth=st.one_of(st.none(), st.floats(0.1, 3.0)))
+def test_roots_are_adjacent_float_sign_changes(seed, n, quantum, bandwidth):
+    values = _seeded_distances(seed, n, quantum)
+    assume(np.std(values) > 0)
+    _assert_roots_are_sign_changes(
+        sk.estimate_density(_as_samples(values), bandwidth=bandwidth))
+
+
+def test_roots_are_adjacent_float_sign_changes_on_compound(compound_segmentation):
+    _assert_roots_are_sign_changes(compound_segmentation[1])
+
+
 def _record_kernel_calls(monkeypatch) -> list[int]:
     """The number of abscissae of every later `DensityCurve.kernel` call."""
     lengths = []
@@ -257,7 +293,8 @@ def _record_kernel_calls(monkeypatch) -> list[int]:
 def test_one_grid_evaluation_per_curve(compound_segmentation, monkeypatch):
     # the grid pass evaluates the full kernel only on the rows it cannot
     # certify, and the thresholds and their fallback read the stored signs
-    # and peak; the kernel is called again only for brentq and for the roots
+    # and peak; the kernel is called again only for the bisection steps,
+    # every bracket in one call per step, and for the roots
     samples = compound_segmentation[0]
     lengths = _record_kernel_calls(monkeypatch)
     curve = sk.estimate_density(samples)

@@ -520,3 +520,23 @@ def test_cli_report_cli_module_points_at_package(tmp_path):
 
 def test_all_criteria_constant():
     assert CRITERIA == ("internal", "euclidean", "external")
+
+
+def test_pipeline_leaves_scipy_optimize_unimported(tmp_path):
+    # density roots are refined by bisection, so no run needs a solver
+    spine = Path(__file__).resolve().parents[1] / "perfbench" / "spine.py"
+    script = (
+        "import importlib.util, sys\n"
+        "from spinekit.report_cli import PipelineConfig, run_pipeline\n"
+        f"spec = importlib.util.spec_from_file_location('spine', {str(spine)!r})\n"
+        "spine = importlib.util.module_from_spec(spec)\n"
+        "sys.modules['spine'] = spine\n"
+        "spec.loader.exec_module(spine)\n"
+        f"desc, _ = spine.write_spine(spine.WORKLOADS['stack_auto'], 1, {str(tmp_path)!r})\n"
+        f"report = run_pipeline(PipelineConfig(input_path=desc, out_dir={str(tmp_path)!r}))\n"
+        "print(sorted(r['label'] for r in report.vertebrae if r['t1_mm']),\n"
+        "      len(report.pairs), 'scipy.optimize' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=_env_importing_this_spinekit())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["[1,", "2,", "3]", "2", "False"]

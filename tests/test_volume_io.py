@@ -102,14 +102,22 @@ def test_raw_path_is_directory_error(tmp_path):
         sk.load_volume(_raw_descriptor(tmp_path, (2, 2, 2)))
 
 
-@pytest.mark.parametrize("key, value", [("centroid_file", "c.json"),   # holds 5
-                                        ("hu_file", 5),
-                                        ("centroid_file", ["x"])],
-                         ids=["centroid_json_5", "hu_file_5", "centroid_file_list"])
-def test_malformed_file_entries_error(tmp_path, key, value):
+_CENTROID = {"label": 1, "voxel": [0.5, 0.5, 0.5]}
+# centroid entries of the wrong type, each of which int() or float() accepts
+_WRONG_TYPES = {"label_1.9": {"label": 1.9}, "label_2.5": {"label": 2.5},
+                "label_true": {"label": True}, "label_str": {"label": "1"},
+                "voxel_str": {"voxel": ["0.5", 0.5, 0.5]},
+                "voxel_bool": {"voxel": [0.5, True, 0.5]}}
+
+
+@pytest.mark.parametrize("key, value, centroids", [
+    ("centroid_file", "c.json", 5), ("hu_file", 5, 5), ("centroid_file", ["x"], 5),
+    *[("centroid_file", "c.json", [{**_CENTROID, **bad}]) for bad in _WRONG_TYPES.values()]],
+    ids=["centroid_json_5", "hu_file_5", "centroid_file_list", *_WRONG_TYPES])
+def test_malformed_file_entries_error(tmp_path, key, value, centroids):
     np.zeros(8, dtype=HU_DTYPE).tofile(tmp_path / "hu.raw")
     np.zeros(8, dtype=LABEL_DTYPE).tofile(tmp_path / "lab.raw")
-    (tmp_path / "c.json").write_text("5")
+    (tmp_path / "c.json").write_text(json.dumps(centroids))
     path = _raw_descriptor(tmp_path, (2, 2, 2))
     path.write_text(json.dumps({**json.loads(path.read_text()), key: value}))
     with pytest.raises(DescriptorError):
