@@ -109,8 +109,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 from scipy.spatial import Delaunay, QhullError
 
 from .errors import MeshContractError, ReconstructionError
@@ -373,11 +371,23 @@ def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
 
 def _face_components(nf: int, order: np.ndarray, same: np.ndarray) -> np.ndarray:
     """Connected-component id per face of `nf` faces, via the shared
-    undirected edges that `_edge_runs` found."""
+    undirected edges that `_edge_runs` found: rounds of `_hook` (Shiloach &
+    Vishkin 1982) until both faces of every shared edge have one root.  A
+    pointer only moves to a smaller face of its component, so the smallest
+    face keeps pointing at itself and is the root; ids follow these roots."""
     fo = order % nf   # side i belongs to face i % nf
     fa, fb = fo[:-1][same], fo[1:][same]
-    graph = coo_matrix((np.ones(len(fa)), (fa, fb)), shape=(nf, nf))
-    _, comp = connected_components(graph, directed=False)
+    comp = np.arange(nf)
+    while not np.array_equal(ra := comp[fa], rb := comp[fb]):
+        comp = _hook(comp, ra, rb)
+    return np.unique(comp, return_inverse=True)[1]
+
+
+def _hook(comp: np.ndarray, ra: np.ndarray, rb: np.ndarray) -> np.ndarray:
+    """Hook the larger root of each pair onto the smaller, then shortcut."""
+    np.minimum.at(comp, np.maximum(ra, rb), np.minimum(ra, rb))
+    while not np.array_equal(comp, up := comp[comp]):
+        comp = up
     return comp
 
 
@@ -509,11 +519,9 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     cavities = int((vols < 0).sum())
     tris = tris[vols[comp] > 0]
 
-    used = np.unique(tris)
-    remap = np.zeros(len(pts), dtype=np.int64)
-    remap[used] = np.arange(len(used))
-    return TriangleMesh(vertices=pts[used].copy(),
-                        triangles=remap[tris],
+    used, inverse = np.unique(tris, return_inverse=True)
+    return TriangleMesh(vertices=pts[used],
+                        triangles=inverse.reshape(tris.shape),
                         alpha_used=alpha_used,
                         cavities_discarded=cavities)
 

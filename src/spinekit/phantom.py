@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PhantomSpecError
-from .volume_io import MAX_LABEL, CentroidAnnotation, LabeledVolume, is_positive_real
+from .volume_io import (MAX_LABEL, CentroidAnnotation, LabeledVolume, is_number,
+                        is_positive_real)
 
 REGION_BODY = 1
 REGION_ARCH = 2
@@ -30,8 +31,7 @@ def _positive(value, name: str) -> None:
 
 def _integer(value, name: str, lo: int, hi: int) -> None:
     """PhantomSpecError unless `value` is an integer in [lo, hi]."""
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool)
-            and lo <= value <= hi):
+    if not (is_number(value, numbers.Integral) and lo <= value <= hi):
         raise PhantomSpecError(f"{name} must be an integer in {lo}..{hi}, got {value!r}")
 
 

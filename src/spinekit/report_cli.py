@@ -31,9 +31,9 @@ from .interspace import (build_interspace, facing_vertices, filter_body,
                          interspace_voxel_stats)
 from .phantom import phantom_from_spec
 from .ply import write_ply
-from .region_segmentation import (Region, classify_vertices,
-                                  degraded_thresholds, distance_distribution,
-                                  estimate_density, find_thresholds)
+from .region_segmentation import (classify_vertices, degraded_thresholds,
+                                  distance_distribution, estimate_density,
+                                  find_thresholds)
 from .roi_analysis import max_inscribed_radius, roi_stats
 from .texture_mapping import CRITERIA, map_grey, region_mean_hu
 from .volume_io import (extract_label_points, is_number, is_positive_real,
@@ -44,11 +44,8 @@ logger = logging.getLogger("spinekit")
 TOOL_NAME = "spinekit"
 TOOL_VERSION = "0.1.0"
 
-_REGION_COLORS = {
-    int(Region.BODY): (255, 0, 0),
-    int(Region.ARCH): (0, 0, 255),
-    int(Region.PROCESS): (0, 255, 0),
-}
+# RGB of each region, indexed by `Region` value
+_REGION_COLORS = np.array([(255, 0, 0), (0, 0, 255), (0, 255, 0)], dtype=np.uint8)
 
 VERTEBRAE_CSV_COLUMNS = (
     "label", "area_mm2", "volume_mm3", "t1_mm", "t2_mm", "t3_mm",
@@ -434,11 +431,9 @@ def _emit_outputs(report: SpineReport, cfg: PipelineConfig, files: list[Path]):
             continue
         mesh = art.mesh
         if art.labeling is not None:
-            colors = np.zeros((len(mesh.vertices), 3), dtype=np.uint8)
-            for rid, rgb in _REGION_COLORS.items():
-                colors[art.labeling.regions == rid] = rgb
             files.append(write_ply(out / f"vertebra_{lab:02d}_regions.ply",
-                                   mesh.vertices, mesh.triangles, colors))
+                                   mesh.vertices, mesh.triangles,
+                                   _REGION_COLORS[art.labeling.regions]))
         for crit in cfg.criteria:
             tex = art.textures.get(crit)
             if tex is None:

@@ -8,6 +8,7 @@ import sys
 from pathlib import Path
 from fractions import Fraction
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -332,6 +333,48 @@ def test_phantom_boundary_faces_match_sorted_reference(fixture, request):
     whole = _whole_build(points.points)
     for alpha in _alphas(whole, (0.1, 0.5, 0.9)) + [points.voxel_diagonal]:
         _assert_boundary_matches_reference(whole, alpha)
+
+
+def _blob_boundary(shape: str, spacing, rng) -> np.ndarray:
+    """Triangles of the default-alpha surface of one lattice blob: a ball, a
+    union of two balls, or a rod 2 voxels thick and 20-120 long."""
+    if shape == "rod":
+        inside = np.moveaxis(np.ones((2, 2, rng.integers(20, 121)), dtype=bool),
+                             2, rng.integers(3))
+    else:
+        grid = np.indices((13, 13, 13)).reshape(3, -1).T - 6.0
+        inside = np.linalg.norm(grid, axis=1) <= rng.uniform(2.0, 6.0)
+        if shape == "blobs":
+            inside |= (np.linalg.norm(grid - rng.uniform(-3.0, 3.0, 3), axis=1)
+                       <= rng.uniform(2.0, 4.0))
+        inside = inside.reshape(13, 13, 13)
+    cloud = _lattice_cloud(inside, spacing)
+    return sk.build_alpha_shape(cloud, cloud.voxel_diagonal).triangles
+
+
+@settings(max_examples=30, deadline=None)
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+       shapes=st.lists(st.sampled_from(["ball", "blobs", "rod"]), min_size=1, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_face_components_match_reference_on_shuffled_unions(spacing, shapes, seed):
+    # a disjoint union of 1-4 blob surfaces with its faces, their corners and
+    # the vertex ids shuffled: hooking numbers the components exactly as the
+    # sparse-graph reference does, one per blob, in O(log faces) rounds
+    rng = np.random.default_rng(seed)
+    parts, offset = [], 0
+    for shape in shapes:
+        tris = _blob_boundary(shape, spacing, rng)
+        parts.append(tris + offset)
+        offset += int(tris.max()) + 1
+    tris = rng.permutation(np.concatenate(parts))
+    turn = (np.arange(3) + rng.integers(3, size=(len(tris), 1))) % 3
+    tris = rng.permutation(offset)[np.take_along_axis(tris, turn, axis=1)]
+    order, same, _ = _edge_runs(tris)
+    with mock.patch.object(alpha_mesh, "_hook", wraps=alpha_mesh._hook) as hook:
+        comp = _face_components(len(tris), order, same)
+    assert np.array_equal(comp, edge_face_components(tris))
+    assert comp.max() + 1 == len(shapes)
+    assert hook.call_count <= 2.0 * np.log2(len(tris)) + 2.0
 
 
 @pytest.mark.parametrize("alpha", [float("nan"), 0.0, -1.0, float("inf"),

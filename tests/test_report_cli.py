@@ -523,7 +523,8 @@ def test_all_criteria_constant():
 
 
 def test_pipeline_leaves_scipy_optimize_unimported(tmp_path):
-    # density roots are refined by bisection, so no run needs a solver
+    # density roots are refined by bisection, so no run needs a solver, and
+    # face components are found by hooking, so none needs a sparse graph
     spine = Path(__file__).resolve().parents[1] / "perfbench" / "spine.py"
     script = (
         "import importlib.util, sys\n"
@@ -535,8 +536,9 @@ def test_pipeline_leaves_scipy_optimize_unimported(tmp_path):
         f"desc, _ = spine.write_spine(spine.WORKLOADS['stack_auto'], 1, {str(tmp_path)!r})\n"
         f"report = run_pipeline(PipelineConfig(input_path=desc, out_dir={str(tmp_path)!r}))\n"
         "print(sorted(r['label'] for r in report.vertebrae if r['t1_mm']),\n"
-        "      len(report.pairs), 'scipy.optimize' in sys.modules)\n")
+        "      len(report.pairs), [m for m in ('scipy.optimize', 'scipy.sparse.csgraph',\n"
+        "                                      'scipy.sparse.linalg') if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=_env_importing_this_spinekit())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["[1,", "2,", "3]", "2", "False"]
+    assert proc.stdout.split() == ["[1,", "2,", "3]", "2", "[]"]
