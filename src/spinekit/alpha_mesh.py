@@ -33,19 +33,37 @@ lattice point strictly inside, which the set therefore lacks, at less than
 beyond its face in place of the ball.
 
 For alpha > h + ε the shell is the points with d <= D, the shallow ones
-those with d < S, where S = 2h + ε and D = max(S + 2h + 2ε + 2δ, 2 alpha):
+those with d < S, where S = 2h + ε and D = S + 2h + 2ε + 2δ, about 4h for
+every alpha.  The proof needs 8δ <= (2/√3 - 1) s_i on every axis i of the
+spacing s; δ is √3 · 1e-6 of the span of the cloud's coordinates, so this
+holds while that span is under about 11,000 times the smallest spacing, and
+the shell keeps every point where it fails:
 
 - every surface face lies between a kept tetrahedron and one of radius
   > alpha > h + ε, or the hull, so its vertices are shallow (lemma);
 - a kept tetrahedron of the cloud with a shallow vertex v is in the shell:
   its vertices are shallow if its radius r exceeds h + ε, and otherwise lie
   within 2r + 2δ <= 2h + 2ε + 2δ of v;
-- a shell tetrahedron of radius r <= alpha with a shallow vertex v is a
-  Delaunay tetrahedron of the cloud.  If r <= h + ε, every point in its ball
-  lies within 2h + 2ε + 2δ of v, so in the shell.  Otherwise the lemma puts
-  in the ball a lattice point q that the shell lacks, within S + 2h + 2δ <= D
-  deep, so the cloud lacks q too; a pruned point p in the ball would be
-  within 2r <= 2 alpha <= D < d(p) of q, which puts q in the cloud;
+- a shell tetrahedron with a shallow vertex v, of any radius r and centre c,
+  is a Delaunay tetrahedron of the cloud: no pruned point p (d(p) > D) has
+  its jittered copy in the tetrahedron's open ball B.  If r <= h + ε, every
+  point in B lies within 2h + 2ε + 2δ of v, so in the shell.  Otherwise the
+  lemma puts less than r - δ from c a lattice point q that the shell
+  lacks, within S + 2h + 2δ <= D deep, so the cloud lacks q too.
+  If 2r <= D, p lies within 2r <= D < d(p) of q, which puts q in the cloud.
+  If 2r > D, walk from p towards c: a step moves lattice point a by one
+  spacing towards c on each axis i where |a_i - c_i| > s_i / 2 (a
+  26-neighbour step, at most 2h long), which never lengthens a - c.  From
+  |a - c| >= r - δ > 2h >= s_i, the axis of the largest |a_i - c_i| (at
+  least (r - δ)/√3) alone shortens |a - c|^2 by s_i (2(r - δ)/√3 - s_i) >
+  (2/√3 - 1) s_i (r - δ) >= 8δ(r - δ) >= 4rδ, so the first step takes p
+  from within r + δ of c to within r - δ, and every later point of the walk
+  has its jittered copy in B: it is not in the shell, so missing or pruned.
+  The walk from q stays within r - δ likewise, and the two walks end at
+  most one step apart on each axis, where every |a_i - c_i| <= s_i / 2.
+  That chain of 26-neighbour steps from the pruned p to the missing q
+  crosses no shell point, so some step joins a pruned point to a missing
+  one, which puts the pruned point within 2h < D of the outside;
 - so the shell build has every kept tetrahedron and every boundary face
   with a shallow vertex exactly as the full cloud has them; faces with no
   shallow vertex are the wall of the pruned hollow, share no vertex with a
@@ -192,22 +210,25 @@ def _lattice_margins(points: np.ndarray, spacing):
 
 def _shell(points: np.ndarray, spacing, alpha):
     """(index, shallow): the points of a voxel-centroid cloud at most
-    D = max(S + 2h + 2ε + 2δ, 2 alpha) deep, which the complex triangulates,
-    and the mask of those among them shallower than S = 2h + ε (module
-    docstring).  Only near-cube tetrahedra (radius <= h + ε) reach deeper
-    than 2h + 2δ, so S holds every surface vertex; a shallow vertex's kept
-    tetrahedra then need the shell to reach one more voxel diagonal, or 2
-    alpha when that is more.
+    D = S + 2h + 2ε + 2δ deep, which the complex triangulates, and the mask
+    of those among them shallower than S = 2h + ε (module docstring).  Only
+    near-cube tetrahedra (radius <= h + ε) reach deeper than 2h + 2δ, so S
+    holds every surface vertex; a shallow vertex's kept tetrahedra then need
+    the shell to reach one more voxel diagonal, whatever alpha is: a wider
+    tetrahedron's empty ball cannot hold a pruned point, as a lattice walk
+    inside it would join that point to a missing one.
 
     Depth is a point's mm distance to the nearest lattice point outside the
-    cloud.  Every point is kept and shallow when alpha is within ε of h, and
-    when there is no lattice (`spacing` None: a raw point array).  "auto"
-    takes every point and never comes here.
+    cloud.  Every point is kept and shallow when alpha is within ε of h,
+    when the jitter is too coarse for the walk (8δ > (2/√3 - 1) times the
+    smallest spacing), and when there is no lattice (`spacing` None: a raw
+    point array).  "auto" takes every point and never comes here.
     """
     if spacing is None:   # no lattice, no depth
         return np.arange(len(points)), np.ones(len(points), dtype=bool)
     h, delta, margin = _lattice_margins(points, spacing)
-    if alpha <= h + margin:
+    if (alpha <= h + margin
+            or 8.0 * delta > (2.0 / np.sqrt(3.0) - 1.0) * min(spacing)):
         return np.arange(len(points)), np.ones(len(points), dtype=bool)
     # imported here: "auto" and raw-array builds never need it
     from scipy.ndimage import distance_transform_edt
@@ -222,8 +243,7 @@ def _shell(points: np.ndarray, spacing, alpha):
     mask[at] = True
     depth = distance_transform_edt(mask, sampling=spacing)[at]
     shallow_below = 2.0 * h + margin   # S
-    index = np.flatnonzero(
-        depth <= max(shallow_below + 2.0 * h + 2.0 * (margin + delta), 2.0 * alpha))
+    index = np.flatnonzero(depth <= shallow_below + 2.0 * h + 2.0 * (margin + delta))
     return index, depth[index] < shallow_below
 
 
@@ -454,17 +474,18 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     returned mesh.
 
     A `PointCloud` with a numeric alpha above half its voxel diagonal h is
-    triangulated only where it is at most max(4h, 2 alpha) deep (mm to the
-    nearest lattice point outside the cloud; plus jitter margins).  The
-    result equals the full build: every tetrahedron wider than a lattice
-    cube's circumsphere has its vertices at most 2h deep, so surface
+    triangulated only where it is at most 4h deep (mm to the nearest
+    lattice point outside the cloud; plus jitter margins), whatever alpha
+    is.  The result equals the full build: every tetrahedron wider than a
+    lattice cube's circumsphere has its vertices at most 2h deep, so surface
     vertices do, and a kept tetrahedron at such a vertex either spans at
-    most 2h or has an empty ball that 2 alpha of depth keeps free of pruned
-    points (module docstring).  That shell is triangulated in 3 slabs per
-    CPU of the affinity mask, on one thread per CPU; a kept tetrahedron has
-    its circumcentre in exactly one slab, so the result does not depend on
-    the slab count.  A raw point array with a numeric alpha is one slab of
-    every point.
+    most 2h or has an empty ball that holds no pruned point: a lattice walk
+    inside the ball would join that point to a missing one with no shell
+    point between (module docstring).  That shell is triangulated in 3
+    slabs per CPU of the affinity mask, on one thread per CPU; a kept
+    tetrahedron has its circumcentre in exactly one slab, so the result does
+    not depend on the slab count.  A raw point array with a numeric alpha is
+    one slab of every point.
     """
     if alpha != AUTO and not is_positive_real(alpha):
         raise ReconstructionError(

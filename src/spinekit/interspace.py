@@ -34,8 +34,10 @@ from .volume_io import LabeledVolume, mm_to_index
 
 
 def _vertex_voxels(mesh: TriangleMesh, spacing, dims=None) -> np.ndarray:
-    """`mm_to_index` of the vertices; MeshContractError unless it finds them
-    all."""
+    """`mm_to_index` of the vertices; MeshContractError unless there are
+    some and it finds them all."""
+    if len(mesh.vertices) == 0:
+        raise MeshContractError("mesh has no vertices")
     ijk, ok = mm_to_index(mesh.vertices, spacing, dims)
     if not ok.all():
         raise MeshContractError(
@@ -50,7 +52,8 @@ def facing_vertices(a: TriangleMesh, b: TriangleMesh,
 
     FacingSet(a) is the image of the NN map from b's vertices into a, and
     symmetrically; both are sorted unique index arrays.  Raises
-    MeshContractError unless every vertex is a voxel centroid of `spacing`.
+    MeshContractError unless both meshes have vertices and every vertex is a
+    voxel centroid of `spacing`.
     """
     ia, ib = _vertex_voxels(a, spacing), _vertex_voxels(b, spacing)
     return (np.unique(nearest_canonical(ia, ib, spacing)),
@@ -188,7 +191,8 @@ def voxel_winding(volume: LabeledVolume,
     Returns (lo, winding, on): the box's lowest voxel index, and the winding
     numbers and the on-surface mask over the box (the voxels from the lowest
     to the highest vertex index on each axis); winding is 0 where on is
-    True.  Raises MeshContractError when a vertex is not a voxel centroid.
+    True.  Raises MeshContractError when the mesh has no vertices or a vertex
+    is not a voxel centroid.
     """
     ijk = _vertex_voxels(mesh, volume.spacing, volume.dims)
     lo = ijk.min(axis=0)

@@ -240,12 +240,14 @@ def estimate_density(samples: DistanceSamples, bandwidth: float | None = None,
     given.  Distances measured on a voxel grid are quantized at the voxel
     scale, and Silverman's rule under-smooths such combs on structures only
     a few voxels wide; the pipeline floors the bandwidth at half the voxel
-    diagonal.  Requires at least 10 samples with nonzero variance.
+    diagonal.  Requires at least 10 finite samples with nonzero variance.
     """
     values = np.asarray(samples.values, dtype=float)
     if len(values) < 10:
         raise DegenerateDistributionError(
             f"need at least 10 distance samples, got {len(values)}")
+    if not np.isfinite(values).all():
+        raise DegenerateDistributionError("distance samples must be finite")
     if np.std(values) == 0.0:
         raise DegenerateDistributionError("distance samples have zero variance")
     for name, given in (("bandwidth", bandwidth), ("min_bandwidth", min_bandwidth)):

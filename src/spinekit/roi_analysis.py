@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RoiTooSmallError
+from .errors import MeshContractError, RoiTooSmallError
 from .volume_io import LabeledVolume, centroid_mm, is_positive_real
 
 
@@ -25,9 +25,14 @@ class RoiStats:
 
 
 def max_inscribed_radius(mesh, centroid, voxel_diag: float) -> float:
-    """Largest k * voxel_diag strictly below the centroid-to-surface distance."""
+    """Largest k * voxel_diag strictly below the centroid-to-surface distance.
+
+    Raises MeshContractError when the mesh has no vertices."""
     c = centroid_mm(centroid)
-    dmin = float(np.linalg.norm(np.asarray(mesh.vertices) - c, axis=1).min())
+    vertices = np.asarray(mesh.vertices)
+    if len(vertices) == 0:
+        raise MeshContractError("mesh has no vertices")
+    dmin = float(np.linalg.norm(vertices - c, axis=1).min())
     if dmin < voxel_diag:
         raise RoiTooSmallError(
             f"centroid clearance {dmin:.3f} mm is below one voxel diagonal "

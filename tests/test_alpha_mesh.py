@@ -189,6 +189,18 @@ def test_empty_mesh_is_open():
         sk.mesh_metrics(empty)
 
 
+@pytest.mark.parametrize("call", [
+    lambda empty, mesh, volume: sk.max_inscribed_radius(empty, np.ones(3), 1.0),
+    lambda empty, mesh, volume: sk.facing_vertices(empty, mesh, volume.spacing),
+    lambda empty, mesh, volume: sk.interspace_voxel_stats(volume, empty),
+], ids=["max_inscribed_radius", "facing_vertices", "interspace_voxel_stats"])
+def test_empty_mesh_is_a_contract_error_downstream(call, sphere_mesh, sphere_volume):
+    empty = sk.TriangleMesh(vertices=np.zeros((0, 3)),
+                            triangles=np.zeros((0, 3), dtype=np.int64))
+    with pytest.raises(MeshContractError, match="no vertices"):
+        call(empty, sphere_mesh, sphere_volume)
+
+
 def _det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -448,29 +460,17 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     return len(cloud) - len(index)
 
 
-@settings(max_examples=12, deadline=None)
-@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
-       fraction=st.floats(0.75, 3.0),
-       extra=st.floats(0.5, 2.0),
-       cavity=st.floats(0.0, 3.0),
-       notch=st.booleans(),
-       holes=st.integers(0, 6),
-       shape=st.sampled_from(["ball", "plate", "stray"]),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
-                                        holes, shape, seed):
-    # a lattice ball deep enough to prune at this alpha, with an interior
-    # cavity, a notch cut into its side and random single-voxel holes, each
-    # kept clear of the centre so that the centre stays deep; a "plate" ball
-    # wears a one-voxel-thick flange, a "stray" ball has one voxel 3-10 mm off
-    # its surface.  Alpha spans both branches of the shell depth max(4h, 2 alpha).
+def _holed_ball(spacing, extra, cavity, notch, holes, shape, seed) -> sk.PointCloud:
+    """A lattice ball whose centre lies just deeper than the shell bound, 4h
+    plus 1 mm, with an interior cavity, a notch cut into its side and random
+    single-voxel holes, each kept clear of the centre so that the centre
+    stays deep; a "plate" ball wears a one-voxel-thick flange, a "stray" ball
+    has one voxel 3-10 mm off its surface."""
     rng = np.random.default_rng(seed)
     spacing = np.asarray(spacing)
-    h = np.linalg.norm(spacing) / 2.0
-    alpha = fraction * 2.0 * h
-    deep = max(4.0 * h, 2.0 * alpha) + 1.0    # deeper than the shell bound
+    deep = 2.0 * np.linalg.norm(spacing) + 1.0    # deeper than the shell bound
     radius = deep + 2.0 * cavity + 1.5 + extra
-    reach = radius if shape == "ball" else radius + 10.0 + 2.0 * h
+    reach = radius if shape == "ball" else radius + 10.0 + np.linalg.norm(spacing)
     n = np.ceil(reach / spacing).astype(int) + 1
     grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
     dist = np.linalg.norm(grid, axis=1)
@@ -491,7 +491,39 @@ def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
         inside |= layer & (dist <= radius + gap)
     elif shape == "stray":
         inside[np.argmin(np.linalg.norm(grid - (radius + gap) * axis, axis=1))] = True
-    cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
+    return _lattice_cloud(inside.reshape(2 * n), spacing)
+
+
+_BALLS = dict(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+              extra=st.floats(0.5, 2.0),
+              cavity=st.floats(0.0, 3.0),
+              notch=st.booleans(),
+              holes=st.integers(0, 6),
+              shape=st.sampled_from(["ball", "plate", "stray"]),
+              seed=st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=12, deadline=None)
+@given(fraction=st.floats(0.75, 3.0), **_BALLS)
+def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
+                                        holes, shape, seed):
+    # alpha from 0.75 to 3 voxel diagonals on a `_holed_ball`: the shell
+    # bound 4h is one depth for every alpha, below and above 2h
+    cloud = _holed_ball(spacing, extra, cavity, notch, holes, shape, seed)
+    alpha = fraction * cloud.voxel_diagonal
+    assert _assert_shell_matches_full(cloud, alpha) > 0
+
+
+@settings(max_examples=12, deadline=None)
+@given(fraction=st.one_of(st.floats(3.0, 12.0), st.just(None)), **_BALLS)
+def test_shell_build_matches_full_build_at_wide_alpha(spacing, fraction, extra,
+                                                      cavity, notch, holes, shape,
+                                                      seed):
+    # alpha from 3 to 12 voxel diagonals, or 1e6 mm (None: the convex-hull
+    # regime), on a `_holed_ball`: the shell still reaches only 4h deep,
+    # while the empty balls of kept tetrahedra reach far over the hollow
+    cloud = _holed_ball(spacing, extra, cavity, notch, holes, shape, seed)
+    alpha = 1e6 if fraction is None else fraction * cloud.voxel_diagonal
     assert _assert_shell_matches_full(cloud, alpha) > 0
 
 
@@ -543,6 +575,19 @@ def test_wide_tetrahedra_have_shallow_vertices(spacing, shape, fraction, holes, 
     assert len(surface) > 0 and is_shallow[surface].all()
 
 
+def test_shell_keeps_every_point_where_the_jitter_is_too_coarse_for_the_walk():
+    # the walk in `_shell`'s proof needs 8δ <= (2/√3 - 1) s_i on every axis,
+    # and δ grows with the span of the coordinates: one block of voxels 0.1 mm
+    # apart along x is pruned near the origin and kept whole 1,200 mm up z
+    spacing = (0.1, 1.0, 1.0)
+    ijk = np.indices((80, 9, 9)).reshape(3, -1).T
+    for z0, whole in ((0, False), (1200, True)):
+        cloud = sk.PointCloud((ijk + [0, 0, z0] + 0.5) * spacing, spacing)
+        index, shallow = _shell(cloud.points, cloud.spacing, cloud.voxel_diagonal)
+        assert (len(index) == len(cloud)) == whole
+        assert shallow.all() == whole
+
+
 def test_hollow_ball_cavity_survives_pruning():
     # a shell 12 mm thick around a 3.5 mm cavity: at 0.75 voxel diagonals the
     # middle of the wall is deeper than the shell bound, so the build prunes
@@ -558,12 +603,33 @@ def test_hollow_ball_cavity_survives_pruning():
     assert (mesh.cavities_discarded, _components(mesh)) == (1, 1)
 
 
+@pytest.mark.parametrize("diagonals", [0.75, 1.0])
+@pytest.mark.parametrize("spacing", [(0.8, 0.8, 1.25), (0.7, 0.9, 2.0), (0.4, 0.4, 2.0)])
+def test_one_voxel_hole_shell_matches_full_build(spacing, diagonals):
+    # a lattice ball missing its centre voxel, of radius 8h + 1 mm, so the
+    # hollow between the hole and the border lies just deeper than the
+    # shell bound 4h.  At (0.4, 0.4, 2.0) the point 2 mm above the hole is
+    # shallow and the next one up, 4 mm above it, lies 0.16 mm inside the
+    # bound: a shell cut short of 4 mm opens the surface at the shallow one.
+    spacing = np.asarray(spacing)
+    radius = 4.0 * np.linalg.norm(spacing) + 1.0
+    n = np.ceil(radius / spacing).astype(int) + 1
+    grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
+    dist = np.linalg.norm(grid, axis=1)
+    inside = dist <= radius
+    inside[np.argmin(dist)] = False
+    cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
+    assert _assert_shell_matches_full(cloud, diagonals * cloud.voxel_diagonal) > 0
+
+
+@pytest.mark.parametrize("diagonals", [1.0, 3.0, None])   # None: alpha 1e6 mm
 @pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
-def test_phantom_shell_matches_full_build(fixture, request):
+def test_phantom_shell_matches_full_build(fixture, diagonals, request):
     value = request.getfixturevalue(fixture)
     cloud = (value if fixture == "sphere_points"
              else sk.extract_label_points(value[0], 1))
-    assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal) > 0
+    alpha = 1e6 if diagonals is None else diagonals * cloud.voxel_diagonal
+    assert _assert_shell_matches_full(cloud, alpha) > 0
 
 
 def test_workload_vertebrae_shell_matches_full_build():

@@ -109,6 +109,16 @@ def test_estimate_density_too_few_samples_error():
         sk.estimate_density(_as_samples([1.0, 2.0, 3.0]))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_estimate_density_rejects_non_finite_samples(bad):
+    # rejected before any arithmetic: no NaN curve and no later, misleading
+    # inflection-count failure
+    values = np.random.default_rng(0).normal(10.0, 2.0, 200)
+    values[17] = bad
+    with pytest.raises(DegenerateDistributionError, match="samples must be finite"):
+        sk.estimate_density(_as_samples(values))
+
+
 @pytest.mark.parametrize("name", ["bandwidth", "min_bandwidth"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), True, "1.0", 0.0, -1.0])
 def test_estimate_density_rejects_bad_bandwidths(name, value):
