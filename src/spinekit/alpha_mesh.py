@@ -77,16 +77,24 @@ smallest vertex index, so the result equals the full build.  The shell keeps
 every point when alpha is within the jitter margin of h.  A raw point array
 (no lattice, so no depth and no cuts) is one slab of every point, all
 shallow.  `alpha="auto"` (its binary search depends on the candidate radii,
-which the shell changes) triangulates every point once, as one slab with
-bounds (-inf, inf).
+which the shell changes) triangulates every point once, as one job.
 
-The shell of a `PointCloud` with a numeric alpha is then triangulated slab by
-slab on a thread pool (DeWall, Cignoni, Montani & Scopigno 1998; qhull
-releases the GIL).  Cuts run across the shell's longest axis at point-count
-quantiles.  Slab k owns the core [c_k, c_k+1) along that axis, triangulates
-every shell point within alpha + ε of its core, and keeps a tetrahedron iff
-its circumradius is <= alpha and its circumcentre lies in the core.  That is
-exactly the set of kept tetrahedra of one build of the whole shell:
+Every build runs in two steps (`AlphaShapeBuild`).  The triangulation is a
+set of jobs on a caller's thread pool (qhull releases the GIL): the slab jobs
+of a numeric alpha, or the one job of "auto", which also takes each point's
+smallest incident circumradius and the candidate radii.  The selection runs
+on the calling thread once they have finished: the slab merge and
+`_surface`, or the binary search, and then the mesh.  A caller that starts
+the next build before it selects this one keeps the pool busy while it
+selects; `build_alpha_shape` is the two steps on a pool of its own.
+
+The shell of a `PointCloud` with a numeric alpha is triangulated slab by
+slab (DeWall, Cignoni, Montani & Scopigno 1998).  Cuts run across the
+shell's longest axis at point-count quantiles.  Slab k owns the core
+[c_k, c_k+1) along that axis, triangulates every shell point within
+alpha + ε of its core, and keeps a tetrahedron iff its circumradius is
+<= alpha and its circumcentre lies in the core.  That is exactly the set of
+kept tetrahedra of one build of the whole shell:
 
 - a kept tetrahedron t of the whole shell has an empty ball of radius
   r <= alpha whose centre lies in exactly one core; its vertices lie within r
@@ -123,7 +131,7 @@ one core and come from one triangulation.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -255,6 +263,12 @@ def _workers() -> int:
     return os.cpu_count() or 1
 
 
+def triangulation_pool() -> ThreadPoolExecutor:
+    """A thread pool of one worker per CPU (`_workers`), on which
+    `start_alpha_shape` runs the triangulation of one build after another."""
+    return ThreadPoolExecutor(_workers())
+
+
 def _spans_3d(points: np.ndarray) -> bool:
     """Whether the points are neither coplanar nor collinear."""
     if len(points) < 4:
@@ -360,12 +374,12 @@ def _slab_tets(jit, local, sel, axis, lo, hi, alpha):
 
 
 def _slab_complex(points: np.ndarray, jit: np.ndarray, alpha: float, slabs: int,
-                  spacing):
-    """(kept, boundary): the kept tetrahedra at `alpha` of the Delaunay build
-    of `jit`, the jittered `points`, built in `slabs` slabs on a thread pool
-    (module docstring) as (K, 4) ascending int32 ids, and every slab's
-    `_boundary_faces`, unpaired.  Cuts need the lattice `spacing`; a cloud
-    without one (None) is built as one slab."""
+                  spacing, pool) -> list[Future]:
+    """The kept tetrahedra at `alpha` of the Delaunay build of `jit`, the
+    jittered `points`, as `slabs` `_slab_tets` jobs submitted to `pool`
+    (module docstring): futures, in slab order, of (K, 4) ascending int32
+    ids and the slab's `_boundary_faces`, unpaired.  Cuts need the lattice
+    `spacing`; a cloud without one (None) is built as one slab."""
     axis = int(np.argmax(np.ptp(points, axis=0)))
     origin = points.min(axis=0)
     local = jit - origin
@@ -375,13 +389,31 @@ def _slab_complex(points: np.ndarray, jit: np.ndarray, alpha: float, slabs: int,
     bounds = np.concatenate(([-np.inf], np.unique(cuts) - origin[axis], [np.inf]))
     reach = alpha * (1.0 + _SLAB_SLACK)
     at = local[:, axis]
-    jobs = [(np.flatnonzero((at >= lo - reach) & (at < hi + reach)), lo, hi)
+    return [pool.submit(_slab_tets, jit, local,
+                        np.flatnonzero((at >= lo - reach) & (at < hi + reach)),
+                        axis, lo, hi, alpha)
             for lo, hi in zip(bounds[:-1], bounds[1:])]
-    with ThreadPoolExecutor(min(_workers(), len(jobs))) as pool:
-        parts = list(pool.map(
-            lambda job: _slab_tets(jit, local, job[0], axis, job[1], job[2], alpha),
-            jobs))
-    return tuple(np.concatenate(part) for part in zip(*parts))
+
+
+def _merged(jobs: list[Future]):
+    """(kept, boundary) of every slab job, concatenated in slab order; raises
+    the error of the first failed job."""
+    return tuple(np.concatenate(part) for part in zip(*(job.result() for job in jobs)))
+
+
+def _auto_triangulation(jit: np.ndarray, local: np.ndarray):
+    """The triangulation job of "auto": (tets, neighbors, radii, positive)
+    of the `_triangulate` of every point (its centres are dropped here), each
+    point's smallest incident circumradius (+inf in no tetrahedron) and the
+    candidates, the sorted distinct finite radii.  A point lies in a
+    tetrahedron of radius <= a iff its smallest radius is <= a, so the
+    search counts the points a candidate leaves outside from that bound
+    alone."""
+    tets, neighbors, radii, _, positive = _triangulate(jit, local, np.arange(len(jit)))
+    lowest = np.full(len(jit), np.inf)
+    np.minimum.at(lowest, tets, radii[:, None])
+    return (tets, neighbors, radii, positive, lowest,
+            np.unique(radii[np.isfinite(radii)]))
 
 
 def _signed_volume_per_face(points: np.ndarray, tris: np.ndarray) -> np.ndarray:
@@ -422,21 +454,24 @@ def _check_solid(points: np.ndarray) -> None:
             "points are coplanar or collinear; no solid can be built")
 
 
-def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
-             kept: np.ndarray, boundary: np.ndarray):
-    """Boundary of the kept tetrahedra in input point ids, with its face
-    components and their signed volumes, or (None, reason) if it is not a
-    closed manifold enclosing every input point.
-
-    `kept` and `boundary` (`_boundary_faces`, unpaired; paired and sorted
-    here) hold positions in `index`, the triangulated points; `shallow`
-    marks those that must lie in the complex (`_shell`).
-    """
-    used = np.zeros(len(index), dtype=bool)
-    used[kept.ravel()] = True
+def _left_outside(shallow: np.ndarray, used: np.ndarray) -> str | None:
+    """Why a complex fails when a shallow point (`_shell`) lies in none of
+    its kept tetrahedra (`used` false), or None."""
     outside = int((shallow & ~used).sum())
-    if outside:
-        return None, f"{outside} points left outside the complex"
+    return f"{outside} points left outside the complex" if outside else None
+
+
+def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
+             boundary: np.ndarray):
+    """Boundary of a complex that holds every shallow point, in input point
+    ids, with its face components and their signed volumes, or (None,
+    reason) if it is not a closed manifold.
+
+    `boundary` (`_boundary_faces`, unpaired; paired and sorted here) holds
+    positions in `index`, the triangulated points; `shallow` marks those
+    that must lie in the complex (`_shell`), which `_left_outside` checks
+    first.
+    """
     # the wall of the pruned hollow: no shallow vertex
     faces = boundary[shallow[boundary].any(axis=1)]
     tris = index[faces[_sole_faces(faces)]]
@@ -456,6 +491,115 @@ def _surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
     if not (vols > 0).any():
         return None, "no positively oriented boundary component"
     return (tris, comp, vols), None
+
+
+def _slab_surface(points: np.ndarray, index: np.ndarray, shallow: np.ndarray,
+                  kept: np.ndarray, boundary: np.ndarray):
+    """`_surface` of the kept tetrahedra `kept` (positions in `index`) and
+    their unpaired `boundary`, after `_left_outside` of their vertices."""
+    used = np.zeros(len(index), dtype=bool)
+    used[kept.ravel()] = True
+    reason = _left_outside(shallow, used)
+    return (None, reason) if reason else _surface(points, index, shallow, boundary)
+
+
+def _search(points: np.ndarray, tets, neighbors, radii, positive, lowest, cand):
+    """(surface, alpha) of "auto" from its `_auto_triangulation`: a binary
+    search over the candidates for one that passes while the next smaller
+    one fails (or the smallest one).  A candidate below some point's
+    smallest radius fails on that count without reading its boundary."""
+    if cand.size == 0:
+        raise ReconstructionError("all tetrahedra are degenerate")
+    everyone = np.arange(len(points))
+    shallow = np.ones(len(points), dtype=bool)
+
+    def evaluate(at: float):
+        reason = _left_outside(shallow, lowest <= at)
+        if reason:
+            return None, reason
+        keep = radii <= at
+        return _surface(points, everyone, shallow,
+                        _boundary_faces(positive, tets, neighbors, keep))
+
+    lo, hi = 0, len(cand) - 1
+    result, reason = evaluate(cand[hi])
+    if result is None:
+        raise ReconstructionError(
+            f"no alpha yields a closed manifold enclosing all points: {reason}")
+    while lo < hi:
+        mid = (lo + hi) // 2
+        mid_result, _ = evaluate(cand[mid])
+        if mid_result is not None:
+            hi = mid
+            result = mid_result
+        else:
+            lo = mid + 1
+    return result, float(cand[hi])
+
+
+class AlphaShapeBuild:
+    """One alpha-shape build whose triangulation has been submitted to a
+    thread pool (`start_alpha_shape`; module docstring).  `wait` blocks
+    until that triangulation has finished or failed; `mesh` selects the
+    surface on the calling thread and releases the triangulation."""
+
+    def __init__(self, points: np.ndarray, alpha, index, shallow, jobs):
+        self._points, self._alpha = points, alpha
+        self._index, self._shallow = index, shallow
+        self._jobs = jobs
+
+    def wait(self) -> None:
+        wait(self._jobs)
+
+    def mesh(self) -> TriangleMesh:
+        """The surface, once; raises the error of the first failed job, or
+        a ReconstructionError if no closed manifold encloses every point."""
+        jobs, self._jobs = self._jobs, []
+        pts = self._points
+        if self._alpha == AUTO:
+            result, alpha_used = _search(pts, *jobs.pop().result())
+        else:
+            alpha_used = float(self._alpha)
+            index, shallow = self._index, self._shallow
+            kept, boundary = _merged(jobs)
+            del jobs
+            result, reason = _slab_surface(pts, index, shallow, kept, boundary)
+            if result is None:
+                raise ReconstructionError(
+                    f"alpha={alpha_used:g} does not yield a closed manifold "
+                    f"enclosing all points: {reason}")
+
+        tris, comp, vols = result
+        cavities = int((vols < 0).sum())
+        tris = tris[vols[comp] > 0]
+
+        used, inverse = np.unique(tris, return_inverse=True)
+        return TriangleMesh(vertices=pts[used],
+                            triangles=inverse.reshape(tris.shape),
+                            alpha_used=alpha_used,
+                            cavities_discarded=cavities)
+
+
+def start_alpha_shape(points, alpha: float | str,
+                      pool: ThreadPoolExecutor) -> AlphaShapeBuild:
+    """Check the input of `build_alpha_shape(points, alpha)`, take its shell
+    on this thread and submit its triangulation to `pool`."""
+    if alpha != AUTO and not is_positive_real(alpha):
+        raise ReconstructionError(
+            f"alpha must be finite and positive or 'auto', got {alpha}")
+    if isinstance(points, PointCloud):
+        pts, spacing = np.asarray(points.points, dtype=float), points.spacing
+    else:
+        pts, spacing = np.asarray(points, dtype=float), None
+    _check_solid(pts)
+    if alpha == AUTO:
+        jit = _jittered(pts)
+        return AlphaShapeBuild(pts, alpha, None, None, [
+            pool.submit(_auto_triangulation, jit, jit - pts.min(axis=0))])
+    index, shallow = _shell(pts, spacing, float(alpha))
+    slabs = 1 if spacing is None else _SLABS_PER_WORKER * _workers()
+    return AlphaShapeBuild(pts, alpha, index, shallow, _slab_complex(
+        pts[index], _jittered(pts)[index], float(alpha), slabs, spacing, pool))
 
 
 def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
@@ -482,69 +626,19 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     most 2h or has an empty ball that holds no pruned point: a lattice walk
     inside the ball would join that point to a missing one with no shell
     point between (module docstring).  That shell is triangulated in 3
-    slabs per CPU of the affinity mask, on one thread per CPU; a kept
-    tetrahedron has its circumcentre in exactly one slab, so the result does
-    not depend on the slab count.  A raw point array with a numeric alpha is
-    one slab of every point.
+    slabs per CPU of the affinity mask; a kept tetrahedron has its
+    circumcentre in exactly one slab, so the result does not depend on the
+    slab count.  A raw point array with a numeric alpha is one slab of
+    every point.
+
+    The triangulation (the slabs, or the one job of "auto") runs on a pool
+    of one thread per CPU that this call starts and joins; the selection
+    runs on the calling thread.  A pipeline that builds many clouds calls
+    `start_alpha_shape` with one pool for the whole run instead, so that one
+    cloud is triangulated while the previous one is selected.
     """
-    if alpha != AUTO and not is_positive_real(alpha):
-        raise ReconstructionError(
-            f"alpha must be finite and positive or 'auto', got {alpha}")
-    if isinstance(points, PointCloud):
-        pts, spacing = np.asarray(points.points, dtype=float), points.spacing
-    else:
-        pts, spacing = np.asarray(points, dtype=float), None
-    _check_solid(pts)
-    if alpha == AUTO:
-        # every point, all shallow, in one slab with bounds (-inf, inf)
-        index, shallow = np.arange(len(pts)), np.ones(len(pts), dtype=bool)
-        jit = _jittered(pts)
-        tets, neighbors, radii, _, positive = _triangulate(
-            jit, jit - pts.min(axis=0), index)
-        cand = np.unique(radii[np.isfinite(radii)])
-        if cand.size == 0:
-            raise ReconstructionError("all tetrahedra are degenerate")
-
-        def evaluate(at: float):
-            keep = radii <= at
-            return _surface(pts, index, shallow, tets[keep],
-                            _boundary_faces(positive, tets, neighbors, keep))
-
-        lo, hi = 0, len(cand) - 1
-        result, reason = evaluate(cand[hi])
-        if result is None:
-            raise ReconstructionError(
-                f"no alpha yields a closed manifold enclosing all points: {reason}")
-        while lo < hi:
-            mid = (lo + hi) // 2
-            mid_result, _ = evaluate(cand[mid])
-            if mid_result is not None:
-                hi = mid
-                result = mid_result
-            else:
-                lo = mid + 1
-        alpha_used = float(cand[hi])
-    else:
-        alpha_used = float(alpha)
-        index, shallow = _shell(pts, spacing, alpha_used)
-        slabs = 1 if spacing is None else _SLABS_PER_WORKER * _workers()
-        kept, boundary = _slab_complex(pts[index], _jittered(pts)[index],
-                                       alpha_used, slabs, spacing)
-        result, reason = _surface(pts, index, shallow, kept, boundary)
-        if result is None:
-            raise ReconstructionError(
-                f"alpha={alpha_used:g} does not yield a closed manifold "
-                f"enclosing all points: {reason}")
-
-    tris, comp, vols = result
-    cavities = int((vols < 0).sum())
-    tris = tris[vols[comp] > 0]
-
-    used, inverse = np.unique(tris, return_inverse=True)
-    return TriangleMesh(vertices=pts[used],
-                        triangles=inverse.reshape(tris.shape),
-                        alpha_used=alpha_used,
-                        cavities_discarded=cavities)
+    with triangulation_pool() as pool:
+        return start_alpha_shape(points, alpha, pool).mesh()
 
 
 def mesh_metrics(mesh: TriangleMesh) -> MeshMetrics:

@@ -2,10 +2,12 @@
 
 `run_pipeline` meshes, segments, texture-maps and ROI-analyzes every present
 vertebra, extracts the interspace for every consecutive pair, and collects
-the results into a SpineReport.  Failures are isolated per vertebra or pair:
-they become warnings, never aborts.  `emit_outputs` writes superimposable
-PLY surfaces, two CSV tables with fixed schemas, and a byte-deterministic
-report.json.
+the results into a SpineReport.  Vertebrae are finished in label order with
+a lookahead of one: once vertebra k's triangulation has finished, vertebra
+k + 1's starts on the run's one thread pool while k is finished on the main
+thread.  Failures are isolated per vertebra or pair: they become warnings,
+never aborts.  `emit_outputs` writes superimposable PLY surfaces, two CSV
+tables with fixed schemas, and a byte-deterministic report.json.
 """
 
 from __future__ import annotations
@@ -18,12 +20,13 @@ import logging
 import numbers
 import sys
 from collections.abc import Iterable
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .alpha_mesh import AUTO, build_alpha_shape, mesh_metrics
+from .alpha_mesh import AUTO, mesh_metrics, start_alpha_shape, triangulation_pool
 from .errors import (DegenerateDistributionError, DescriptorError,
                      ExtractionError, MappingError, PhantomSpecError,
                      RoiTooSmallError, SpineKitError, ThresholdFailureError)
@@ -171,7 +174,33 @@ def _warn(warnings: list[dict], kind: str, message: str, **keys) -> None:
     logger.warning("%s: %s", kind, message)
 
 
-def _process_vertebra(volume, label, cfg, warnings):
+def _vertebra_builds(volume, labels, cfg, pool):
+    """(label, started) per label in order, where `started` is a Future of
+    the label's `AlphaShapeBuild` or of the SpineKitError that starting it
+    raised.  Each label's build starts once its predecessor's triangulation
+    has finished, before the predecessor is handed on, so that it runs on
+    `pool` while the caller finishes the predecessor."""
+    def start(label) -> Future:
+        started = Future()
+        try:
+            points = extract_label_points(volume, label)
+            # cfg.alpha is None (the voxel diagonal), "auto" or a positive real
+            started.set_result(start_alpha_shape(
+                points, cfg.alpha or points.voxel_diagonal, pool))
+        except SpineKitError as exc:
+            started.set_exception(exc)
+        return started
+
+    upcoming = start(labels[0]) if labels else None
+    for k, label in enumerate(labels):
+        started = upcoming
+        if started.exception() is None:
+            started.result().wait()
+        upcoming = start(labels[k + 1]) if k + 1 < len(labels) else None
+        yield label, started
+
+
+def _process_vertebra(volume, label, cfg, warnings, started):
     rec = {
         "label": int(label), "alpha_used": None, "area_mm2": None,
         "volume_mm3": None, "t1_mm": None, "t2_mm": None, "t3_mm": None,
@@ -180,9 +209,7 @@ def _process_vertebra(volume, label, cfg, warnings):
     }
     flags = rec["flags"]
 
-    points = extract_label_points(volume, label)
-    # cfg.alpha is None (the voxel diagonal), "auto" or a positive real
-    mesh = build_alpha_shape(points, alpha=cfg.alpha or points.voxel_diagonal)
+    mesh = started.result().mesh()
     if mesh.cavities_discarded:
         flags.append("interior_components_discarded")
     met = mesh_metrics(mesh)
@@ -340,14 +367,16 @@ def run_pipeline(cfg: PipelineConfig) -> SpineReport:
         _warn(warnings, "orphan_centroid",
               f"centroid annotation for label {lab} has no voxels", label=int(lab))
 
-    for lab in labels:
-        try:
-            rec, art = _process_vertebra(volume, lab, cfg, warnings)
-        except SpineKitError as exc:
-            _warn(warnings, "vertebra_failed", f"label {lab}: {exc}", label=int(lab))
-            continue
-        records.append(rec)
-        arts[lab] = art
+    with triangulation_pool() as pool:
+        for lab, started in _vertebra_builds(volume, labels, cfg, pool):
+            try:
+                rec, art = _process_vertebra(volume, lab, cfg, warnings, started)
+            except SpineKitError as exc:
+                _warn(warnings, "vertebra_failed", f"label {lab}: {exc}",
+                      label=int(lab))
+                continue
+            records.append(rec)
+            arts[lab] = art
 
     pair_records: list[dict] = []
     pair_meshes: dict[tuple[int, int], object] = {}

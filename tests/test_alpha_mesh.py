@@ -18,10 +18,10 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.alpha_mesh import (_boundary_faces, _check_solid, _circumradii, _edge_runs,
-                                 _face_components, _jittered, _lattice_margins,
-                                 _shell, _slab_complex, _sole_faces, _surface,
-                                 _triangulate)
+from spinekit.alpha_mesh import (_auto_triangulation, _boundary_faces, _check_solid,
+                                 _circumradii, _edge_runs, _face_components, _jittered,
+                                 _lattice_margins, _left_outside, _merged, _shell,
+                                 _slab_complex, _slab_surface, _sole_faces, _triangulate)
 from spinekit.errors import MeshContractError, ReconstructionError
 
 from conftest import (edge_face_components, euler_characteristic, perfbench_spine,
@@ -279,11 +279,11 @@ def _whole_build(points) -> SimpleNamespace:
 
 
 def _evaluate(whole: SimpleNamespace, alpha: float):
-    """`_surface` of the whole build's tetrahedra of circumradius <= alpha."""
+    """`_slab_surface` of the whole build's tetrahedra of circumradius <= alpha."""
     keep = whole.radii <= alpha
     boundary = _boundary_faces(whole.positive, whole.tets, whole.neighbors, keep)
-    return _surface(whole.points, whole.index, np.ones(len(whole.index), dtype=bool),
-                    whole.tets[keep], boundary)
+    return _slab_surface(whole.points, whole.index,
+                         np.ones(len(whole.index), dtype=bool), whole.tets[keep], boundary)
 
 
 def _assert_boundary_matches_reference(whole, alpha):
@@ -335,6 +335,40 @@ def test_boundary_faces_match_sorted_reference(kind, n, seed, fractions):
     assume(len(whole.candidates) > 0)   # not every tetrahedron degenerate
     for alpha in _alphas(whole, fractions):
         _assert_boundary_matches_reference(whole, alpha)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+       n=st.integers(5, 60),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_point_bound_gives_each_candidates_outside_count(spacing, n, seed):
+    # "auto" reads the points a candidate leaves outside from each point's
+    # smallest incident circumradius: at every candidate (and below and
+    # above them all) that agrees point for point with the mask of vertices
+    # of kept tetrahedra, and its reason with the used-mask selection's
+    rng = np.random.default_rng(seed)
+    ijk = np.stack(np.unravel_index(rng.choice(216, size=n, replace=False),
+                                    (6, 6, 6)), axis=1)
+    points = (ijk + 0.5) * np.asarray(spacing)
+    try:
+        whole = _whole_build(points)
+    except ReconstructionError:
+        assume(False)
+    tets, neighbors, radii, positive, lowest, cand = _auto_triangulation(
+        whole.jit, whole.jit - points.min(axis=0))
+    assert np.array_equal(tets, whole.tets) and np.array_equal(radii, whole.radii)
+    assert np.array_equal(cand, whole.candidates)
+    everyone = np.ones(len(points), dtype=bool)
+    for at in [0.0, *cand, np.inf]:
+        used = np.zeros(len(points), dtype=bool)
+        used[tets[radii <= at].ravel()] = True
+        assert np.array_equal(lowest <= at, used)
+        reason = _left_outside(everyone, lowest <= at)
+        result, why = _evaluate(whole, at)
+        if reason is not None:
+            assert (result, why) == (None, reason)
+        else:
+            assert why is None or "left outside" not in why
 
 
 @pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
@@ -436,14 +470,15 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     assert len(full.index) == len(cloud)
     f_res, f_why = _evaluate(full, alpha)
     for slabs in range(1, 7):
-        kept, boundary = _slab_complex(cloud.points[index], jit, alpha, slabs,
-                                       cloud.spacing)
+        with alpha_mesh.triangulation_pool() as pool:
+            kept, boundary = _merged(_slab_complex(cloud.points[index], jit, alpha,
+                                                   slabs, cloud.spacing, pool))
         # each kept tetrahedron has exactly one owning slab
         assert len(np.unique(kept, axis=0)) == len(kept)
         # the boundary by counting faces, independent of any adjacency
         assert np.array_equal(boundary[_sole_faces(boundary)], sorted_boundary_faces(
             jit, kept, np.ones(len(kept), dtype=bool)))
-        s_res, s_why = _surface(cloud.points, index, shallow, kept, boundary)
+        s_res, s_why = _slab_surface(cloud.points, index, shallow, kept, boundary)
         assert s_why == f_why
         if f_res is not None:
             for a, b in zip(s_res, f_res):

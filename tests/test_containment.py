@@ -6,9 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import spinekit as sk
+from spinekit.alpha_mesh import triangulation_pool
 from spinekit.errors import MeshContractError, ReconstructionError
 from spinekit.interspace import voxel_winding
-from spinekit.report_cli import PipelineConfig, _process_pair, _process_vertebra
+from spinekit.report_cli import (PipelineConfig, _process_pair, _process_vertebra,
+                                 _vertebra_builds)
 
 from conftest import (disc_interspace, interspace_stats_reference,
                       perfbench_spine, points_inside_mesh,
@@ -273,8 +275,9 @@ def test_workload_pairs_match_oracle(name):
     cfg = PipelineConfig(input_path="", out_dir="", alpha=workload.alpha,
                          criteria=("internal",))
     warnings, arts = [], {}
-    for label in truth.levels:
-        arts[label] = _process_vertebra(volume, label, cfg, warnings)[1]
+    with triangulation_pool() as pool:
+        for label, started in _vertebra_builds(volume, list(truth.levels), cfg, pool):
+            arts[label] = _process_vertebra(volume, label, cfg, warnings, started)[1]
     for lo, hi in truth.pairs:
         rec, imesh = _process_pair(volume, lo, hi, arts, warnings)
         _assert_matches_oracle(volume, imesh)

@@ -15,7 +15,7 @@ import pytest
 from scipy.spatial import QhullError
 
 import spinekit as sk
-from spinekit import alpha_mesh
+from spinekit import alpha_mesh, report_cli
 from spinekit.report_cli import (CRITERIA, PAIRS_CSV_COLUMNS,
                                  VERTEBRAE_CSV_COLUMNS, PipelineConfig,
                                  emit_outputs, main, run_pipeline)
@@ -157,6 +157,146 @@ def test_qhull_error_in_one_slab_fails_that_vertebra_only(tmp_path, monkeypatch)
     failed = [w for w in report.warnings if w["kind"] == "vertebra_failed"]
     assert [(w["label"], w["message"]) for w in failed] == [
         (1, "label 1: tetrahedralization failed: QH6154 injected failure")]
+
+
+def test_next_triangulation_finishes_during_selection_with_identical_bytes(
+        disc_run, tmp_path, monkeypatch):
+    # label 1's selection sleeps; label 2's slabs, started once label 1's
+    # had finished, all finish before that selection does
+    cfg, _, files, _ = disc_run
+    events, lock = [], threading.Lock()
+    slab_tets, slab_surface = alpha_mesh._slab_tets, alpha_mesh._slab_surface
+
+    def logged_slab(*args):
+        result = slab_tets(*args)
+        with lock:
+            events.append("slab")
+        return result
+
+    def slow_first_selection(*args):
+        if "selected" not in events:
+            time.sleep(0.5)
+        result = slab_surface(*args)
+        with lock:
+            events.append("selected")
+        return result
+
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 2)
+    monkeypatch.setattr(alpha_mesh, "_slab_tets", logged_slab)
+    monkeypatch.setattr(alpha_mesh, "_slab_surface", slow_first_selection)
+    cfg2 = PipelineConfig(input_path=cfg.input_path, out_dir=tmp_path / "out2")
+    files2 = emit_outputs(run_pipeline(cfg2), cfg2)
+    assert events == ["slab"] * 12 + ["selected"] * 2
+    assert sorted(p.name for p in files2) == sorted(p.name for p in files)
+    by_name2 = {p.name: p for p in files2}
+    for path in files:
+        assert path.read_bytes() == by_name2[path.name].read_bytes(), path.name
+
+
+def _failing_start_of_label_2(where, monkeypatch):
+    """Make starting label 2's build raise a SpineKitError `where`: in its
+    extraction, its shell or its qhull."""
+    if where == "extract":
+        extract = report_cli.extract_label_points
+
+        def failing(volume, label):
+            if label == 2:
+                raise sk.ExtractionError("injected extraction failure")
+            return extract(volume, label)
+
+        monkeypatch.setattr(report_cli, "extract_label_points", failing)
+    elif where == "shell":
+        shell, calls = alpha_mesh._shell, itertools.count()
+
+        def failing(*args):
+            if next(calls) == 1:
+                raise sk.ReconstructionError("injected shell failure")
+            return shell(*args)
+
+        monkeypatch.setattr(alpha_mesh, "_shell", failing)
+    else:
+        real, calls = alpha_mesh.Delaunay, itertools.count()
+
+        def failing(points):
+            if next(calls) == 6:       # the first slab of label 2 to start
+                raise QhullError("QH6154 injected failure")
+            return real(points)
+
+        monkeypatch.setattr(alpha_mesh, "Delaunay", failing)
+
+
+@pytest.mark.parametrize("where", ["extract", "shell", "qhull"])
+def test_failure_starting_the_next_vertebra_is_its_own_warning(where, tmp_path,
+                                                               monkeypatch):
+    # label 2 starts while label 1 is finished; its failure is reported in
+    # label order, after every warning of label 1, whose record is intact
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 2)
+    desc = sk.write_volume(_mini_spine_volume(), tmp_path / "in")
+    cfg = PipelineConfig(input_path=desc, out_dir=tmp_path / "out")
+    clean = run_pipeline(cfg)
+    _failing_start_of_label_2(where, monkeypatch)
+    report = run_pipeline(cfg)
+    assert report.vertebrae == [clean.vertebrae[0], clean.vertebrae[2]]
+    kinds = [(w["kind"], w.get("label", w.get("label_lo"))) for w in report.warnings]
+    assert kinds == [("threshold_failure", 1), ("vertebra_failed", 2),
+                     ("threshold_failure", 3), ("pair_skipped_missing_vertebra", 1),
+                     ("pair_skipped_missing_vertebra", 2)]
+    message = {"extract": "injected extraction failure",
+               "shell": "injected shell failure",
+               "qhull": "tetrahedralization failed: QH6154 injected failure"}[where]
+    assert report.warnings[1]["message"] == f"label 2: {message}"
+
+
+@pytest.mark.parametrize("alpha, most", [("auto", 1), (None, 3)])
+def test_triangulations_in_flight_are_bounded(alpha, most, tmp_path, monkeypatch):
+    # one build is triangulated at a time: "auto" runs one qhull at once,
+    # a numeric alpha at most one per worker
+    real, lock = alpha_mesh.Delaunay, threading.Lock()
+    active, peaks = [0], []
+
+    def counted(points):
+        with lock:
+            active[0] += 1
+            peaks.append(active[0])
+        try:
+            time.sleep(0.02)
+            return real(points)
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(alpha_mesh, "_workers", lambda: 3)
+    monkeypatch.setattr(alpha_mesh, "Delaunay", counted)
+    desc = sk.write_volume(_mini_spine_volume(), tmp_path / "in")
+    report = run_pipeline(PipelineConfig(input_path=desc, out_dir=tmp_path / "out",
+                                         alpha=alpha))
+    assert [rec["label"] for rec in report.vertebrae] == [1, 2, 3]
+    assert len(report.pairs) == 2
+    assert max(peaks) <= most
+    assert max(peaks) >= min(most, 2)
+
+
+@pytest.mark.parametrize("fault", [None, "triangulation", "selection"])
+def test_pipeline_joins_its_threads(fault, tmp_path, monkeypatch):
+    # the run's pool is shut down when run_pipeline returns, and also when a
+    # defect (not a SpineKitError) escapes a worker or the selection while
+    # the next vertebra is being triangulated
+    def broken(*args):
+        raise RuntimeError("injected defect")
+
+    if fault == "triangulation":
+        monkeypatch.setattr(alpha_mesh, "_circumradii", broken)
+    elif fault == "selection":
+        monkeypatch.setattr(alpha_mesh, "_slab_surface", broken)
+    desc = sk.write_volume(_mini_spine_volume(), tmp_path / "in")
+    cfg = PipelineConfig(input_path=desc, out_dir=tmp_path / "out")
+    before = threading.active_count()
+    if fault is None:
+        assert len(run_pipeline(cfg).vertebrae) == 3
+    else:
+        with pytest.raises(RuntimeError, match="injected defect"):
+            run_pipeline(cfg)
+    assert threading.active_count() == before
 
 
 def test_csv_headers_match_documented_schema(disc_run):
