@@ -15,62 +15,91 @@ jittered circumradius is huge and they only enter the complex in the
 convex-hull regime, which leaves the union solid unchanged.
 
 A voxel-centroid cloud (a `PointCloud`) with a numeric alpha is triangulated
-only near its border.  Let h be half the voxel diagonal (the lattice's
-covering radius: a ball of radius above h holds a lattice point strictly
-inside), d(p) the mm distance from point p to the nearest lattice point
-outside the cloud (one EDT of the cloud's index box), δ the jitter's largest
-displacement and ε > 2δ the margin by which a lattice cube's jittered
-tetrahedra can exceed radius h (`_lattice_margins`).  The general locality
-bound (Edelsbrunner & Mücke 1994) would keep every point within 3 alpha + 2h
-of the border; the lattice allows a thinner shell.
+only near its border.  Let s_i be the spacing on axis i, h = |s| / 2 half the
+voxel diagonal (the lattice's covering radius: a ball of radius above h holds
+a lattice point strictly inside), d(p) the mm distance from point p to the
+nearest lattice point outside the cloud (one EDT of the cloud's index box),
+δ the jitter's largest displacement and ε > 2δ the margin by which a lattice
+cube's jittered tetrahedra can exceed radius h (`_lattice_margins`).  Call a
+tetrahedron wide if its radius exceeds h + ε and near-cube otherwise.  The
+general locality bound (Edelsbrunner & Mücke 1994) would keep every point
+within 3 alpha + 2h of the border; the lattice allows a thinner shell.
 
 Lemma: in the Delaunay build of a set of lattice points, every vertex v of a
-tetrahedron of radius r > h + ε lies within 2h + 2δ of a lattice point
-missing from the set.  Inside the empty circumball shrunk by δ, the ball of
-radius h' ∈ (h, r - δ] that touches it towards v's jittered copy holds a
-lattice point strictly inside, which the set therefore lacks, at less than
-2h' + 2δ from v.  A vertex on the convex hull has the empty half-space
-beyond its face in place of the ball.
+wide tetrahedron of radius r lies within 2h + 2δ of a lattice point missing
+from the set.  Inside the empty circumball shrunk by δ, the ball of radius
+h' ∈ (h, r - δ] that touches it towards v's jittered copy holds a lattice
+point strictly inside, which the set therefore lacks, at less than 2h' + 2δ
+from v.  A vertex on the convex hull has the empty half-space beyond its
+face in place of the ball.
+
+Step: let a ball of centre c and radius r > h + ε have the jittered copy v'
+of a lattice point v on its sphere, and n = (c - v') / r.  Some axis i has
+|n_i| >= s_i / 2h, as the n_i^2 sum to 1; let q = v + sign(n_i) s_i e_i.
+Then |q - c|^2 is at most (sqrt(r^2 - 2 r s_i |n_i| + s_i^2) + δ)^2 <=
+(sqrt(r^2 - s_i^2 (r - h) / h) + δ)^2, and so q lies less than r - δ from c
+if s_i^2 (r - h) >= 4δrh; as (r - h) / r > ε / (h + ε), that holds for every
+such ball if s_i^2 ε >= 4δh(h + ε).
 
 For alpha > h + ε the shell is the points with d <= D, the shallow ones
-those with d < S, where S = 2h + ε and D = S + 2h + 2ε + 2δ, about 4h for
-every alpha.  The proof needs 8δ <= (2/√3 - 1) s_i on every axis i of the
-spacing s; δ is √3 · 1e-6 of the span of the cloud's coordinates, so this
-holds while that span is under about 11,000 times the smallest spacing, and
-the shell keeps every point where it fails:
+those with d < S, where S = 2h + ε and D = S + m + 2ε + 2δ for every alpha.
+Here m = max s_i, one lattice step past S, if the step's condition holds on
+every axis: with ε < h / 30 it does wherever the smallest spacing is at
+least a fifth of the next smallest.  Otherwise m = 2h, and the lemma stands
+in for the step.  The walk below needs 8δ <= (2/√3 - 1) s_i on every axis;
+δ is √3 · 1e-6 of the span of the cloud's coordinates, so this holds while
+that span is under about 11,000 times the smallest spacing, and the shell
+keeps every point where it fails.  Every near-cube tetrahedron has radius
+below alpha, so it is kept in any build:
 
-- every surface face lies between a kept tetrahedron and one of radius
-  > alpha > h + ε, or the hull, so its vertices are shallow (lemma);
-- a kept tetrahedron of the cloud with a shallow vertex v is in the shell:
-  its vertices are shallow if its radius r exceeds h + ε, and otherwise lie
-  within 2r + 2δ <= 2h + 2ε + 2δ of v;
-- a shell tetrahedron with a shallow vertex v, of any radius r and centre c,
-  is a Delaunay tetrahedron of the cloud: no pruned point p (d(p) > D) has
-  its jittered copy in the tetrahedron's open ball B.  If r <= h + ε, every
-  point in B lies within 2h + 2ε + 2δ of v, so in the shell.  Otherwise the
-  lemma puts less than r - δ from c a lattice point q that the shell
-  lacks, within S + 2h + 2δ <= D deep, so the cloud lacks q too.
+- every vertex of a wide tetrahedron of the cloud is shallow (lemma), so
+  its empty ball makes it a tetrahedron of the shell build too.  Every
+  vertex of a surface face, which lies between a kept tetrahedron and a
+  wide one of radius > alpha, or the hull, is shallow likewise;
+- a wide shell tetrahedron with a shallow vertex v, of radius r and centre
+  c, is a Delaunay tetrahedron of the cloud: no pruned point p (d(p) > D)
+  has its jittered copy in the tetrahedron's open ball B.  The step (where
+  m = 2h: the lemma, with h' = min(h + ε, r - δ)) puts less than r - δ
+  from c a lattice point q less than m + 2ε + 2δ from v.  Its jittered copy
+  lies in B, which holds no shell point, and it would be less than D deep,
+  so the cloud lacks q.
   If 2r <= D, p lies within 2r <= D < d(p) of q, which puts q in the cloud.
   If 2r > D, walk from p towards c: a step moves lattice point a by one
   spacing towards c on each axis i where |a_i - c_i| > s_i / 2 (a
   26-neighbour step, at most 2h long), which never lengthens a - c.  From
-  |a - c| >= r - δ > 2h >= s_i, the axis of the largest |a_i - c_i| (at
-  least (r - δ)/√3) alone shortens |a - c|^2 by s_i (2(r - δ)/√3 - s_i) >
-  (2/√3 - 1) s_i (r - δ) >= 8δ(r - δ) >= 4rδ, so the first step takes p
+  |a - c| >= r - δ > h + m / 2 >= s_i, the axis of the largest |a_i - c_i|
+  (at least (r - δ)/√3) alone shortens |a - c|^2 by s_i (2(r - δ)/√3 - s_i)
+  > (2/√3 - 1) s_i (r - δ) >= 8δ(r - δ) >= 4rδ, so the first step takes p
   from within r + δ of c to within r - δ, and every later point of the walk
   has its jittered copy in B: it is not in the shell, so missing or pruned.
   The walk from q stays within r - δ likewise, and the two walks end at
   most one step apart on each axis, where every |a_i - c_i| <= s_i / 2.
   That chain of 26-neighbour steps from the pruned p to the missing q
   crosses no shell point, so some step joins a pruned point to a missing
-  one, which puts the pruned point within 2h < D of the outside;
-- so the shell build has every kept tetrahedron and every boundary face
-  with a shallow vertex exactly as the full cloud has them; faces with no
-  shallow vertex are the wall of the pruned hollow, share no vertex with a
-  surface face and are dropped;
-- a point at depth >= S lies only in tetrahedra of radius <= h + ε < alpha
-  (lemma), so it is in the complex, and the "points left outside" check
-  needs only the shallow points.
+  one, which puts the pruned point within 2h < D of the outside.  A hull
+  face of the shell with a shallow vertex v is one of the cloud likewise:
+  the balls through v's jittered copy that lie beyond its plane hold no
+  shell point, and each point beyond the plane lies in the large ones;
+- so the two builds agree on each face f with a shallow vertex.  If f is a
+  boundary face of either, its side of radius > alpha (or the hull) is in
+  both (the first two points).  Its other side has a kept tetrahedron in
+  that build and a tetrahedron in the other, as f would otherwise lie on
+  the other's hull and so on that one's.  The two are one tetrahedron if
+  either is wide, and both kept if both are near-cube: f is on both
+  boundaries, facing the same way;
+- a shallow point p lies in a kept tetrahedron in both builds or in
+  neither: if every tetrahedron at p in one build is wide and not kept, the
+  first two points put them, and p's hull faces, in the other build, where
+  they fill a neighbourhood of p and so are all of p's tetrahedra;
+- so the shell build has every boundary face with a shallow vertex, and
+  whether each shallow point is in the complex, exactly as the full cloud
+  has them, even where a lattice cube keeps a shallow corner and loses
+  another, so that its near-cube tetrahedra differ between the builds.
+  Faces with no shallow vertex are the wall of the pruned hollow and are
+  dropped;
+- a point at depth >= S lies only in near-cube tetrahedra (lemma), so it is
+  in the complex, and the "points left outside" check needs only the
+  shallow points.
 
 The jitter is drawn on the full cloud and each triangle is written from its
 smallest vertex index, so the result equals the full build.  The shell keeps
@@ -203,9 +232,11 @@ def _jittered(points: np.ndarray) -> np.ndarray:
 
 
 def _lattice_margins(points: np.ndarray, spacing):
-    """(h, δ, ε) of a voxel-centroid cloud: half the voxel diagonal, the
-    jitter's largest displacement, and the margin by which a lattice cube's
-    jittered tetrahedra can exceed circumradius h."""
+    """(h, δ, ε, m) of a voxel-centroid cloud: half the voxel diagonal, the
+    jitter's largest displacement, the margin by which a lattice cube's
+    jittered tetrahedra can exceed circumradius h, and how far the shell
+    reaches past its shallow band: one lattice step, the largest spacing, if
+    the step (module docstring) clears the jitter on every axis, else 2h."""
     spacing = np.asarray(spacing, dtype=float)
     h = 0.5 * float(np.linalg.norm(spacing))
     delta = np.sqrt(3.0) * _jitter_amplitude(points)
@@ -213,18 +244,22 @@ def _lattice_margins(points: np.ndarray, spacing):
     # delta * (1 + 12 sqrt(3) h^3 / cell volume) to first order (their edge
     # matrix has determinant >= the cell volume); twice that covers the rest.
     margin = 2.0 * delta * (1.0 + 12.0 * np.sqrt(3.0) * h ** 3 / np.prod(spacing))
-    return h, delta, margin
+    one_step = spacing.min() ** 2 * margin >= 4.0 * delta * h * (h + margin)
+    return h, delta, margin, float(spacing.max()) if one_step else 2.0 * h
 
 
 def _shell(points: np.ndarray, spacing, alpha):
     """(index, shallow): the points of a voxel-centroid cloud at most
-    D = S + 2h + 2ε + 2δ deep, which the complex triangulates, and the mask
+    D = S + m + 2ε + 2δ deep, which the complex triangulates, and the mask
     of those among them shallower than S = 2h + ε (module docstring).  Only
     near-cube tetrahedra (radius <= h + ε) reach deeper than 2h + 2δ, so S
-    holds every surface vertex; a shallow vertex's kept tetrahedra then need
-    the shell to reach one more voxel diagonal, whatever alpha is: a wider
-    tetrahedron's empty ball cannot hold a pruned point, as a lattice walk
-    inside it would join that point to a missing one.
+    holds every surface vertex, and alpha keeps every near-cube tetrahedron.
+    The shell then reaches one lattice step m = max s_i further, whatever
+    alpha is: a wider tetrahedron's empty ball at a shallow vertex holds the
+    lattice point one step inside it, so the cloud lacks that point, and
+    cannot hold a pruned point, as a lattice walk inside it would join that
+    point to a missing one.  m is 2h where the step's gain on a ball barely
+    wider than h + ε is within the jitter (`_lattice_margins`).
 
     Depth is a point's mm distance to the nearest lattice point outside the
     cloud.  Every point is kept and shallow when alpha is within ε of h,
@@ -234,7 +269,7 @@ def _shell(points: np.ndarray, spacing, alpha):
     """
     if spacing is None:   # no lattice, no depth
         return np.arange(len(points)), np.ones(len(points), dtype=bool)
-    h, delta, margin = _lattice_margins(points, spacing)
+    h, delta, margin, step = _lattice_margins(points, spacing)
     if (alpha <= h + margin
             or 8.0 * delta > (2.0 / np.sqrt(3.0) - 1.0) * min(spacing)):
         return np.arange(len(points)), np.ones(len(points), dtype=bool)
@@ -251,7 +286,7 @@ def _shell(points: np.ndarray, spacing, alpha):
     mask[at] = True
     depth = distance_transform_edt(mask, sampling=spacing)[at]
     shallow_below = 2.0 * h + margin   # S
-    index = np.flatnonzero(depth <= shallow_below + 2.0 * h + 2.0 * (margin + delta))
+    index = np.flatnonzero(depth <= shallow_below + step + 2.0 * (margin + delta))
     return index, depth[index] < shallow_below
 
 
@@ -618,14 +653,16 @@ def build_alpha_shape(points, alpha: float | str = AUTO) -> TriangleMesh:
     returned mesh.
 
     A `PointCloud` with a numeric alpha above half its voxel diagonal h is
-    triangulated only where it is at most 4h deep (mm to the nearest
-    lattice point outside the cloud; plus jitter margins), whatever alpha
-    is.  The result equals the full build: every tetrahedron wider than a
-    lattice cube's circumsphere has its vertices at most 2h deep, so surface
-    vertices do, and a kept tetrahedron at such a vertex either spans at
-    most 2h or has an empty ball that holds no pruned point: a lattice walk
-    inside the ball would join that point to a missing one with no shell
-    point between (module docstring).  That shell is triangulated in 3
+    triangulated only where it is at most 2h + max s_i deep (mm to the
+    nearest lattice point outside the cloud, s the spacing; plus jitter
+    margins), whatever alpha is.  The result equals the full build: every
+    tetrahedron wider than a lattice cube's circumsphere has its vertices at
+    most 2h deep, so surface vertices do, and narrower ones are kept
+    wherever they lie.  A wider tetrahedron's empty ball at such a vertex
+    holds the lattice point one step inside it, which the cloud must then
+    lack, and no pruned point: a lattice walk inside the ball would join
+    that point to a missing one with no shell point between (module
+    docstring).  That shell is triangulated in 3
     slabs per CPU of the affinity mask; a kept tetrahedron has its
     circumcentre in exactly one slab, so the result does not depend on the
     slab count.  A raw point array with a numeric alpha is one slab of

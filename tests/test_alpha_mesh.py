@@ -496,14 +496,14 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
 
 
 def _holed_ball(spacing, extra, cavity, notch, holes, shape, seed) -> sk.PointCloud:
-    """A lattice ball whose centre lies just deeper than the shell bound, 4h
-    plus 1 mm, with an interior cavity, a notch cut into its side and random
-    single-voxel holes, each kept clear of the centre so that the centre
-    stays deep; a "plate" ball wears a one-voxel-thick flange, a "stray" ball
-    has one voxel 3-10 mm off its surface."""
+    """A lattice ball whose centre lies just deeper than the shell bound,
+    2h + max s_i plus 1 mm, with an interior cavity, a notch cut into its side
+    and random single-voxel holes, each kept clear of the centre so that the
+    centre stays deep; a "plate" ball wears a one-voxel-thick flange, a
+    "stray" ball has one voxel 3-10 mm off its surface."""
     rng = np.random.default_rng(seed)
     spacing = np.asarray(spacing)
-    deep = 2.0 * np.linalg.norm(spacing) + 1.0    # deeper than the shell bound
+    deep = np.linalg.norm(spacing) + spacing.max() + 1.0   # past the shell bound
     radius = deep + 2.0 * cavity + 1.5 + extra
     reach = radius if shape == "ball" else radius + 10.0 + np.linalg.norm(spacing)
     n = np.ceil(reach / spacing).astype(int) + 1
@@ -529,7 +529,8 @@ def _holed_ball(spacing, extra, cavity, notch, holes, shape, seed) -> sk.PointCl
     return _lattice_cloud(inside.reshape(2 * n), spacing)
 
 
-_BALLS = dict(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+_BALLS = dict(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0),
+                                       (0.4, 0.4, 2.0)]),
               extra=st.floats(0.5, 2.0),
               cavity=st.floats(0.0, 3.0),
               notch=st.booleans(),
@@ -539,11 +540,11 @@ _BALLS = dict(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 
 
 
 @settings(max_examples=12, deadline=None)
-@given(fraction=st.floats(0.75, 3.0), **_BALLS)
+@given(fraction=st.floats(0.55, 3.0), **_BALLS)
 def test_shell_build_matches_full_build(spacing, fraction, extra, cavity, notch,
                                         holes, shape, seed):
-    # alpha from 0.75 to 3 voxel diagonals on a `_holed_ball`: the shell
-    # bound 4h is one depth for every alpha, below and above 2h
+    # alpha from 0.55 to 3 voxel diagonals on a `_holed_ball`: the shell
+    # bound 2h + max s_i is one depth for every alpha, below and above 2h
     cloud = _holed_ball(spacing, extra, cavity, notch, holes, shape, seed)
     alpha = fraction * cloud.voxel_diagonal
     assert _assert_shell_matches_full(cloud, alpha) > 0
@@ -555,15 +556,16 @@ def test_shell_build_matches_full_build_at_wide_alpha(spacing, fraction, extra,
                                                       cavity, notch, holes, shape,
                                                       seed):
     # alpha from 3 to 12 voxel diagonals, or 1e6 mm (None: the convex-hull
-    # regime), on a `_holed_ball`: the shell still reaches only 4h deep,
-    # while the empty balls of kept tetrahedra reach far over the hollow
+    # regime), on a `_holed_ball`: the shell still reaches only 2h + max s_i
+    # deep, while the empty balls of kept tetrahedra reach far over the hollow
     cloud = _holed_ball(spacing, extra, cavity, notch, holes, shape, seed)
     alpha = 1e6 if fraction is None else fraction * cloud.voxel_diagonal
     assert _assert_shell_matches_full(cloud, alpha) > 0
 
 
 @settings(max_examples=60, deadline=None)
-@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0)]),
+@given(spacing=st.sampled_from([(1.0, 1.0, 1.0), (0.8, 0.8, 1.25), (0.7, 0.9, 2.0),
+                                (0.4, 0.4, 2.0)]),
        shape=st.sampled_from(["blob", "plate", "stray"]),
        fraction=st.floats(0.75, 3.0),
        holes=st.integers(0, 40),
@@ -597,7 +599,7 @@ def test_wide_tetrahedra_have_shallow_vertices(spacing, shape, fraction, holes, 
         inside[rng.choice(np.flatnonzero((off >= 3.0) & (off <= 10.0)))] = True
     cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
     whole = _whole_build(cloud.points)
-    h, _, margin = _lattice_margins(cloud.points, cloud.spacing)
+    h, _, margin, _ = _lattice_margins(cloud.points, cloud.spacing)
     alpha = fraction * 2.0 * h
     index, shallow = _shell(cloud.points, cloud.spacing, alpha)
     is_shallow = np.zeros(len(cloud), dtype=bool)
@@ -608,6 +610,67 @@ def test_wide_tetrahedra_have_shallow_vertices(spacing, shape, fraction, holes, 
     keep = whole.radii <= alpha
     surface = _boundary_faces(whole.positive, whole.tets, whole.neighbors, keep)
     assert len(surface) > 0 and is_shallow[surface].all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(spacing=st.tuples(*[st.floats(0.05, 4.0)] * 3),
+       span=st.floats(1.0, 5000.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_one_lattice_step_enters_every_ball_wider_than_h(spacing, span, seed):
+    # The step behind the shell's depth: a ball of centre c and radius
+    # r > h + ε with lattice point v on its sphere and inward normal n holds
+    # q = v + sign(n_i) s_i e_i strictly inside, with |q - c|^2 <= r^2 -
+    # s_i^2 (r - h) / h, for every axis i where |n_i| >= s_i / 2h, and the
+    # axis of the largest |n_i| |s| / s_i is one of them.  Where
+    # `_lattice_margins` reaches one step past the shallow band, q lies less
+    # than r - δ from c even when only v's jittered copy, up to δ from v,
+    # lies on the sphere.  2,000 balls per spacing: half with normals along
+    # the spacing's diagonal, where the bound is tight, and radii from h + ε
+    # up to 10 ε or 100 h beyond it (v at the origin).
+    rng = np.random.default_rng(seed)
+    s = np.asarray(spacing)
+    h, delta, margin, step = _lattice_margins(np.array([[0.0] * 3, [span, 0.0, 0.0]]), s)
+    k = 2000
+    n = rng.normal(size=(k, 3))
+    n[: k // 2] = s * (1.0 + 1e-9 * n[: k // 2])
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    excess = rng.random(k) * np.where(rng.random(k) < 0.5, 10.0 * margin, 100.0 * h)
+    r = h + margin + excess
+    c = r[:, None] * n
+    best = np.argmax(np.abs(n) / s, axis=1)
+    assert np.all(np.abs(n[np.arange(k), best]) * 2.0 * h >= s[best])
+    for i in range(3):
+        at = np.abs(n[:, i]) * 2.0 * h >= s[i]
+        q = np.zeros((at.sum(), 3))
+        q[:, i] = np.sign(n[at, i]) * s[i]
+        dist = np.linalg.norm(q - c[at], axis=1)
+        assert np.all(dist ** 2 <= r[at] ** 2 - s[i] ** 2 * (r[at] - h) / h
+                      + 1e-12 * r[at] ** 2)
+        assert np.all(dist < r[at])
+        if step < 2.0 * h:
+            assert np.all(dist + delta < r[at] - delta)
+
+
+@pytest.mark.parametrize("spacing, one_step", [((0.25, 1.0, 1.0), True),
+                                               ((0.1, 1.0, 1.0), False)],
+                         ids=["step", "diagonal"])
+def test_shell_reaches_one_step_past_the_shallow_band(spacing, one_step):
+    # `_shell` keeps the points at most S + m + 2ε + 2δ deep: m is the
+    # largest spacing where the step clears the jitter on every axis, which
+    # holds at (0.25, 1, 1), and the voxel diagonal 2h at (0.1, 1, 1), where
+    # a ball barely wider than h + ε gains less than the jitter from a step
+    # along x.  Either shell equals the full build.
+    ijk = np.indices((80, 9, 9)).reshape(3, -1).T
+    cloud = sk.PointCloud((ijk + 0.5) * spacing, spacing)
+    h, delta, margin, step = _lattice_margins(cloud.points, cloud.spacing)
+    assert step == (max(spacing) if one_step else 2.0 * h)
+    mask = np.pad(np.ones((80, 9, 9), dtype=bool), 1)
+    depth = distance_transform_edt(mask, sampling=spacing)[tuple((ijk + 1).T)]
+    index, shallow = _shell(cloud.points, cloud.spacing, cloud.voxel_diagonal)
+    assert np.array_equal(index, np.flatnonzero(
+        depth <= 2.0 * h + margin + step + 2.0 * (margin + delta)))
+    assert np.array_equal(shallow, depth[index] < 2.0 * h + margin)
+    assert _assert_shell_matches_full(cloud, cloud.voxel_diagonal) > 0
 
 
 def test_shell_keeps_every_point_where_the_jitter_is_too_coarse_for_the_walk():
@@ -641,13 +704,14 @@ def test_hollow_ball_cavity_survives_pruning():
 @pytest.mark.parametrize("diagonals", [0.75, 1.0])
 @pytest.mark.parametrize("spacing", [(0.8, 0.8, 1.25), (0.7, 0.9, 2.0), (0.4, 0.4, 2.0)])
 def test_one_voxel_hole_shell_matches_full_build(spacing, diagonals):
-    # a lattice ball missing its centre voxel, of radius 8h + 1 mm, so the
-    # hollow between the hole and the border lies just deeper than the
-    # shell bound 4h.  At (0.4, 0.4, 2.0) the point 2 mm above the hole is
-    # shallow and the next one up, 4 mm above it, lies 0.16 mm inside the
-    # bound: a shell cut short of 4 mm opens the surface at the shallow one.
+    # a lattice ball missing its centre voxel, of radius 2(2h + max s_i) +
+    # 1 mm, so the hollow between the hole and the border lies just deeper
+    # than the shell bound 2h + max s_i.  At (0.4, 0.4, 2.0) the point 2 mm
+    # above the hole is shallow and the next one up, 4 mm above it, lies
+    # 0.078 mm inside the bound: a shell cut short of 4 mm opens the surface
+    # at the shallow one.
     spacing = np.asarray(spacing)
-    radius = 4.0 * np.linalg.norm(spacing) + 1.0
+    radius = 2.0 * (np.linalg.norm(spacing) + spacing.max()) + 1.0
     n = np.ceil(radius / spacing).astype(int) + 1
     grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
     dist = np.linalg.norm(grid, axis=1)
@@ -655,6 +719,30 @@ def test_one_voxel_hole_shell_matches_full_build(spacing, diagonals):
     inside[np.argmin(dist)] = False
     cloud = _lattice_cloud(inside.reshape(2 * n), spacing)
     assert _assert_shell_matches_full(cloud, diagonals * cloud.voxel_diagonal) > 0
+
+
+def test_shell_one_step_short_opens_a_ball_at_alpha_near_h():
+    # The shell bound from below: a lattice ball of radius 7.5 mm at
+    # (0.7, 0.9, 2.0), at 0.55 voxel diagonals (1.1 h).  The shell equals the
+    # full build and prunes its core, while a cut 0.1 max s_i shallower,
+    # at S + 0.9 max s_i, leaves open edges where the full build is closed.
+    spacing = np.array((0.7, 0.9, 2.0))
+    n = np.ceil(7.5 / spacing).astype(int) + 1
+    grid = (np.indices(2 * n).reshape(3, -1).T - n + 0.5) * spacing
+    inside = (np.linalg.norm(grid, axis=1) <= 7.5).reshape(2 * n)
+    cloud = _lattice_cloud(inside, spacing)
+    alpha = 0.55 * cloud.voxel_diagonal
+    assert _assert_shell_matches_full(cloud, alpha) > 0
+    assert _evaluate(_whole_build(cloud.points), alpha)[1] is None
+    h, delta, margin, step = _lattice_margins(cloud.points, spacing)
+    depth = distance_transform_edt(inside, sampling=spacing)[inside]
+    index = np.flatnonzero(depth <= 2.0 * h + margin + 0.9 * step + 2.0 * (margin + delta))
+    with alpha_mesh.triangulation_pool() as pool:
+        kept, boundary = _merged(_slab_complex(
+            cloud.points[index], _jittered(cloud.points)[index], alpha, 1, spacing, pool))
+    result, why = _slab_surface(cloud.points, index, depth[index] < 2.0 * h + margin,
+                                kept, boundary)
+    assert result is None and why.endswith("edges not shared by exactly 2 triangles")
 
 
 @pytest.mark.parametrize("diagonals", [1.0, 3.0, None])   # None: alpha 1e6 mm
