@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from concurrent.futures import Future
 from fractions import Fraction
 from types import SimpleNamespace
 from unittest import mock
@@ -18,10 +19,10 @@ from scipy.spatial import QhullError
 
 import spinekit as sk
 from spinekit import alpha_mesh
-from spinekit.alpha_mesh import (_auto_triangulation, _boundary_faces, _check_solid,
-                                 _circumradii, _edge_runs, _face_components, _jittered,
-                                 _lattice_margins, _left_outside, _merged, _shell,
-                                 _slab_complex, _slab_surface, _sole_faces, _triangulate)
+from spinekit.alpha_mesh import (AlphaShapeBuild, _check_solid, _circumradii, _edge_runs,
+                                 _face_components, _jittered, _lattice_margins,
+                                 _left_outside, _shell, _slab_complex, _sole_faces,
+                                 _surface, _triangulate)
 from spinekit.errors import MeshContractError, ReconstructionError
 
 from conftest import (edge_face_components, euler_characteristic, perfbench_spine,
@@ -278,12 +279,97 @@ def _whole_build(points) -> SimpleNamespace:
                            candidates=np.unique(radii[np.isfinite(radii)]))
 
 
+# face j of a tetrahedron is the one opposite its vertex j
+_FACES = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+
+def _boundary_faces(positive: np.ndarray, tets: np.ndarray, neighbors: np.ndarray,
+                    keep: np.ndarray):
+    """Reference boundary of the union of kept tetrahedra, unpaired and
+    unsorted, each from its smallest vertex and facing away from its
+    tetrahedron: read off one build's adjacency at one alpha, as every
+    build did before the face table.
+
+    `neighbors[t, j]` is the tetrahedron across face j of t, or -1 on the
+    hull (the -1 lookup into `keep` is masked by the first test).  Face j in
+    ascending order, then vertex j, is t's ascending ids after 3 - k swaps,
+    k the rank of vertex j; so the face turns toward vertex j, and has its
+    last two vertices swapped, iff `positive[t]` equals `k is odd`.
+    """
+    t, j = np.nonzero(keep[:, None] & ((neighbors < 0) | ~keep[neighbors]))
+    tris = np.sort(tets[t[:, None], _FACES[j]], axis=1)
+    rank = (tris < tets[t, j][:, None]).sum(axis=1)
+    flip = positive[t] == (rank % 2 == 1)
+    tris[flip] = tris[flip][:, [0, 2, 1]]
+    return tris
+
+
 def _evaluate(whole: SimpleNamespace, alpha: float):
-    """`_slab_surface` of the whole build's tetrahedra of circumradius <= alpha."""
+    """The whole build's complex at `alpha` by the reference rule: the
+    vertices of its tetrahedra of circumradius <= alpha must be every point
+    (`_left_outside`), then `_surface` of their `_boundary_faces`."""
     keep = whole.radii <= alpha
-    boundary = _boundary_faces(whole.positive, whole.tets, whole.neighbors, keep)
-    return _slab_surface(whole.points, whole.index,
-                         np.ones(len(whole.index), dtype=bool), whole.tets[keep], boundary)
+    everyone = np.ones(len(whole.index), dtype=bool)
+    used = np.zeros(len(whole.index), dtype=bool)
+    used[whole.tets[keep].ravel()] = True
+    reason = _left_outside(everyone, used)
+    if reason:
+        return None, reason
+    return _surface(whole.points, whole.index, everyone,
+                    _boundary_faces(whole.positive, whole.tets, whole.neighbors, keep))
+
+
+class _RecordingPool:
+    """Runs slab jobs on a thread pool, or at once on this thread (`pool`
+    None), and keeps each job's arguments and the triangulation its
+    `_triangulate` returned, to name what it owns."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs, self.built = pool, [], {}
+        self.triangulate = alpha_mesh._triangulate
+
+    def submit(self, job, *args):
+        self.jobs.append(args)
+        if self.pool is not None:
+            return self.pool.submit(job, *args)
+        future = Future()
+        future.set_result(job(*args))
+        return future
+
+    def recorded(self, jit, local, sel):
+        self.built[id(sel)] = out = self.triangulate(jit, local, sel)
+        return out
+
+    def owned(self) -> np.ndarray:
+        """The tetrahedra of circumradius <= top with circumcentre in the
+        core that each job triangulated, ascending ids, in slab order."""
+        parts = [np.zeros((0, 4), dtype=np.int32)]
+        for _, _, sel, axis, start, stop, _, top in self.jobs:
+            if id(sel) in self.built:   # not when no solid tetrahedron
+                tets, _, radii, centers, _ = self.built[id(sel)]
+                own = (radii <= top) & (centers[:, axis] >= start) & (centers[:, axis] < stop)
+                parts.append(np.sort(tets[own], axis=1))
+        return np.concatenate(parts)
+
+
+def _slab_build(points, index, shallow, span, slabs, spacing, threads=True):
+    """The merged slab build (`AlphaShapeBuild._merge`) of points[index]
+    over the alpha range `span` in `slabs` slabs, and the tetrahedra its
+    slabs own, concatenated in slab order.  Without `threads`, the jobs run
+    in turn on this thread, which is faster for a few dozen points."""
+    with alpha_mesh.triangulation_pool() as executor:
+        pool = _RecordingPool(executor if threads else None)
+        with mock.patch.object(alpha_mesh, "_triangulate", pool.recorded):
+            build = AlphaShapeBuild(points, span[0], index, shallow, _slab_complex(
+                points[index], _jittered(points)[index], span, slabs, spacing, pool))
+            build._merge()
+    return build, pool.owned()
+
+
+def _read(build: AlphaShapeBuild, at: float) -> np.ndarray:
+    """The rows of a merged build's face table live at alpha `at`."""
+    tris, lo, hi = build._table
+    return tris[(lo <= at) & (at < hi)]
 
 
 def _assert_boundary_matches_reference(whole, alpha):
@@ -314,20 +400,24 @@ def _alphas(whole, fractions):
     return [0.0, np.inf, *picked]
 
 
+def _float_or_lattice(kind, n: int, seed: int) -> np.ndarray:
+    """n uniform float points, or n distinct voxel centroids of a 5x5x5 grid
+    of spacing `kind`: cospherical ties galore."""
+    rng = np.random.default_rng(seed)
+    if kind == "float":
+        return rng.uniform(-5.0, 5.0, (n, 3))
+    ijk = np.stack(np.unravel_index(rng.choice(125, size=n, replace=False),
+                                    (5, 5, 5)), axis=1)
+    return (ijk + 0.5) * np.asarray(kind)
+
+
 @settings(max_examples=150, deadline=None)
 @given(kind=st.sampled_from(("float", (1.0, 1.0, 1.0), (0.8, 0.8, 1.25))),
        n=st.integers(5, 60),
        seed=st.integers(0, 2 ** 32 - 1),
        fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
 def test_boundary_faces_match_sorted_reference(kind, n, seed, fractions):
-    rng = np.random.default_rng(seed)
-    if kind == "float":
-        points = rng.uniform(-5.0, 5.0, (n, 3))
-    else:
-        # distinct voxel centroids of a 5x5x5 grid: cospherical ties galore
-        ijk = np.stack(np.unravel_index(rng.choice(125, size=n, replace=False),
-                                        (5, 5, 5)), axis=1)
-        points = (ijk + 0.5) * np.asarray(kind)
+    points = _float_or_lattice(kind, n, seed)
     try:
         whole = _whole_build(points)
     except ReconstructionError:
@@ -354,21 +444,73 @@ def test_point_bound_gives_each_candidates_outside_count(spacing, n, seed):
         whole = _whole_build(points)
     except ReconstructionError:
         assume(False)
-    tets, neighbors, radii, positive, lowest, cand = _auto_triangulation(
-        whole.jit, whole.jit - points.min(axis=0))
-    assert np.array_equal(tets, whole.tets) and np.array_equal(radii, whole.radii)
-    assert np.array_equal(cand, whole.candidates)
     everyone = np.ones(len(points), dtype=bool)
+    build, owned = _slab_build(points, np.arange(len(points)), everyone,
+                               (0.0, np.inf), 1, None, threads=False)
+    finite = np.isfinite(whole.radii)
+    assert np.array_equal(owned, np.sort(whole.tets[finite], axis=1))
+    tris, lo, hi = build._table
+    cand = np.unique(np.concatenate((lo, hi[np.isfinite(hi)])))
+    assert np.array_equal(cand, whole.candidates)
     for at in [0.0, *cand, np.inf]:
         used = np.zeros(len(points), dtype=bool)
-        used[tets[radii <= at].ravel()] = True
-        assert np.array_equal(lowest <= at, used)
-        reason = _left_outside(everyone, lowest <= at)
+        used[whole.tets[whole.radii <= at].ravel()] = True
+        assert np.array_equal(build._lowest <= at, used)
+        reason = _left_outside(everyone, build._lowest <= at)
         result, why = _evaluate(whole, at)
         if reason is not None:
             assert (result, why) == (None, reason)
         else:
             assert why is None or "left outside" not in why
+        if np.isfinite(at):
+            table, table_why = build.evaluate(at)
+            assert table_why == why
+            for a, b in zip(table or (), result or ()):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(("float", (1.0, 1.0, 1.0), (0.8, 0.8, 1.25))),
+       n=st.integers(5, 60),
+       seed=st.integers(0, 2 ** 32 - 1),
+       fractions=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=6))
+def test_face_table_matches_reference_boundary(kind, n, seed, fractions):
+    # The face table of one build, over [0, inf) and over the range of the
+    # sampled candidates, in 1, 2 and 6 slabs, read at 0, at inf (as the
+    # largest double, where every row running to +inf is live) and at each
+    # sampled candidate in the range: its live rows, paired and ordered by
+    # `_sole_faces`, are the reference `_boundary_faces` of one build of
+    # every point, row for row, and `lowest` <= alpha marks the vertices of
+    # its tetrahedra of radius <= alpha.  Over [0, inf) the table's finite
+    # interval ends are the distinct finite radii, the candidates of "auto".
+    points = _float_or_lattice(kind, n, seed)
+    try:
+        whole = _whole_build(points)
+    except ReconstructionError:
+        assume(False)
+    assume(len(whole.candidates) > 0)   # not every tetrahedron degenerate
+    alphas = _alphas(whole, fractions)
+    picked = alphas[2:]
+    spacing = (1.0, 1.0, 1.0) if kind == "float" else kind   # only places the cuts
+    everyone = np.ones(len(points), dtype=bool)
+    for span, reads in (((0.0, np.inf), alphas), ((min(picked), max(picked)), picked)):
+        for slabs in (1, 2, 6):
+            build, _ = _slab_build(whole.points, whole.index, everyone, span, slabs,
+                                   spacing, threads=False)
+            if span[1] == np.inf:
+                _, lo, hi = build._table
+                ends = np.unique(np.concatenate((lo, hi[np.isfinite(hi)])))
+                assert np.array_equal(ends, whole.candidates)
+            for alpha in reads:
+                keep = whole.radii <= alpha
+                at = np.finfo(float).max if alpha == np.inf else alpha
+                tris = _read(build, at)
+                ref = _boundary_faces(whole.positive, whole.tets, whole.neighbors,
+                                      keep & np.isfinite(whole.radii))
+                assert np.array_equal(tris[_sole_faces(tris)], ref[_sole_faces(ref)])
+                used = np.zeros(len(points), dtype=bool)
+                used[whole.tets[keep].ravel()] = True
+                assert np.array_equal(build._lowest <= alpha, used)
 
 
 @pytest.mark.parametrize("fixture", ["sphere_points", "compound"])
@@ -470,15 +612,18 @@ def _assert_shell_matches_full(cloud: sk.PointCloud, alpha: float) -> int:
     assert len(full.index) == len(cloud)
     f_res, f_why = _evaluate(full, alpha)
     for slabs in range(1, 7):
-        with alpha_mesh.triangulation_pool() as pool:
-            kept, boundary = _merged(_slab_complex(cloud.points[index], jit, alpha,
-                                                   slabs, cloud.spacing, pool))
+        build, kept = _slab_build(cloud.points, index, shallow, (alpha, alpha),
+                                  slabs, cloud.spacing)
         # each kept tetrahedron has exactly one owning slab
         assert len(np.unique(kept, axis=0)) == len(kept)
         # the boundary by counting faces, independent of any adjacency
+        boundary = _read(build, alpha)
         assert np.array_equal(boundary[_sole_faces(boundary)], sorted_boundary_faces(
             jit, kept, np.ones(len(kept), dtype=bool)))
-        s_res, s_why = _slab_surface(cloud.points, index, shallow, kept, boundary)
+        used = np.zeros(len(index), dtype=bool)
+        used[kept.ravel()] = True
+        assert np.array_equal(build._lowest <= alpha, used)
+        s_res, s_why = build.evaluate(alpha)
         assert s_why == f_why
         if f_res is not None:
             for a, b in zip(s_res, f_res):
@@ -737,11 +882,9 @@ def test_shell_one_step_short_opens_a_ball_at_alpha_near_h():
     h, delta, margin, step = _lattice_margins(cloud.points, spacing)
     depth = distance_transform_edt(inside, sampling=spacing)[inside]
     index = np.flatnonzero(depth <= 2.0 * h + margin + 0.9 * step + 2.0 * (margin + delta))
-    with alpha_mesh.triangulation_pool() as pool:
-        kept, boundary = _merged(_slab_complex(
-            cloud.points[index], _jittered(cloud.points)[index], alpha, 1, spacing, pool))
-    result, why = _slab_surface(cloud.points, index, depth[index] < 2.0 * h + margin,
-                                kept, boundary)
+    build, _ = _slab_build(cloud.points, index, depth[index] < 2.0 * h + margin,
+                           (alpha, alpha), 1, spacing)
+    result, why = build.evaluate(alpha)
     assert result is None and why.endswith("edges not shared by exactly 2 triangles")
 
 

@@ -118,20 +118,22 @@ def test_rerun_bit_identical(disc_run, tmp_path):
 def test_slabs_finishing_out_of_order_give_identical_bytes(disc_run, tmp_path,
                                                           monkeypatch):
     # three workers, nine slabs per vertebra; the lowest slab finishes last
+    # (the interspace's "auto" is one slab over [0, inf), and not logged)
     cfg, _, files, _ = disc_run
     finished, lock = [], threading.Lock()
-    slab_tets = alpha_mesh._slab_tets
+    slab_table = alpha_mesh._slab_table
 
-    def lowest_last(jit, local, sel, axis, lo, hi, alpha):
-        if lo == -np.inf:
+    def lowest_last(jit, local, sel, axis, start, stop, bottom, top):
+        vertebra = top < np.inf
+        if vertebra and start == -np.inf:
             time.sleep(0.3)
-        result = slab_tets(jit, local, sel, axis, lo, hi, alpha)
+        result = slab_table(jit, local, sel, axis, start, stop, bottom, top)
         with lock:
-            finished.append(lo)
+            finished.extend([start] if vertebra else [])
         return result
 
     monkeypatch.setattr(alpha_mesh, "_workers", lambda: 3)
-    monkeypatch.setattr(alpha_mesh, "_slab_tets", lowest_last)
+    monkeypatch.setattr(alpha_mesh, "_slab_table", lowest_last)
     cfg2 = PipelineConfig(input_path=cfg.input_path, out_dir=tmp_path / "out2")
     files2 = emit_outputs(run_pipeline(cfg2), cfg2)
     assert len(finished) == 18 and finished != sorted(finished)
@@ -162,28 +164,31 @@ def test_qhull_error_in_one_slab_fails_that_vertebra_only(tmp_path, monkeypatch)
 def test_next_triangulation_finishes_during_selection_with_identical_bytes(
         disc_run, tmp_path, monkeypatch):
     # label 1's selection sleeps; label 2's slabs, started once label 1's
-    # had finished, all finish before that selection does
+    # had finished, all finish before that selection does (the interspace's
+    # "auto" build and its search are not logged)
     cfg, _, files, _ = disc_run
     events, lock = [], threading.Lock()
-    slab_tets, slab_surface = alpha_mesh._slab_tets, alpha_mesh._slab_surface
+    slab_table, evaluate = alpha_mesh._slab_table, alpha_mesh.AlphaShapeBuild.evaluate
 
     def logged_slab(*args):
-        result = slab_tets(*args)
+        result = slab_table(*args)
         with lock:
-            events.append("slab")
+            events.extend(["slab"] if args[-1] < np.inf else [])
         return result
 
-    def slow_first_selection(*args):
+    def slow_first_selection(build, at):
+        if build._alpha == alpha_mesh.AUTO:
+            return evaluate(build, at)
         if "selected" not in events:
             time.sleep(0.5)
-        result = slab_surface(*args)
+        result = evaluate(build, at)
         with lock:
             events.append("selected")
         return result
 
     monkeypatch.setattr(alpha_mesh, "_workers", lambda: 2)
-    monkeypatch.setattr(alpha_mesh, "_slab_tets", logged_slab)
-    monkeypatch.setattr(alpha_mesh, "_slab_surface", slow_first_selection)
+    monkeypatch.setattr(alpha_mesh, "_slab_table", logged_slab)
+    monkeypatch.setattr(alpha_mesh.AlphaShapeBuild, "evaluate", slow_first_selection)
     cfg2 = PipelineConfig(input_path=cfg.input_path, out_dir=tmp_path / "out2")
     files2 = emit_outputs(run_pipeline(cfg2), cfg2)
     assert events == ["slab"] * 12 + ["selected"] * 2
@@ -287,7 +292,7 @@ def test_pipeline_joins_its_threads(fault, tmp_path, monkeypatch):
     if fault == "triangulation":
         monkeypatch.setattr(alpha_mesh, "_circumradii", broken)
     elif fault == "selection":
-        monkeypatch.setattr(alpha_mesh, "_slab_surface", broken)
+        monkeypatch.setattr(alpha_mesh.AlphaShapeBuild, "evaluate", broken)
     desc = sk.write_volume(_mini_spine_volume(), tmp_path / "in")
     cfg = PipelineConfig(input_path=desc, out_dir=tmp_path / "out")
     before = threading.active_count()
